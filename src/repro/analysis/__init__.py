@@ -19,12 +19,13 @@ This package enforces both, three ways:
   (REP001..REP008), run as ``python -m repro.analysis lint src tests`` or
   via the ``repro-lint`` console script.  Findings are suppressed per line
   with ``# repro: noqa=REPxxx`` comments.
-* :mod:`repro.analysis.sanitizer` — an opt-in runtime instrumentation
-  layer (``REPRO_SANITIZE=1`` or ``sanitize=True``) in the spirit of
-  ASan/TSan: it wraps :class:`~repro.core.linkedlist.SlotListManager` and
-  the four :class:`~repro.core.buffer.SwitchBuffer` implementations to
-  detect slot use-after-free, double-free, pointer cycles/leaks, and
-  per-cycle port-bandwidth violations.
+* :mod:`repro.analysis.sanitizer` — an opt-in runtime observer
+  (``REPRO_SANITIZE=1`` or ``sanitize=True``) in the spirit of ASan/TSan:
+  attached through :mod:`repro.instrument` to every
+  :class:`~repro.core.linkedlist.SlotListManager` and
+  :class:`~repro.core.buffer.SwitchBuffer` of a run, it detects slot
+  use-after-free, double-free, pointer cycles/leaks, and per-cycle
+  port-bandwidth violations.
 * :mod:`repro.analysis.model` — an explicit-state bounded model checker
   (``python -m repro.analysis model`` / ``repro-verify``) that
   exhaustively explores all arrival × grant × departure interleavings of
@@ -48,26 +49,17 @@ from repro.analysis.report import (
     render_json,
     render_text,
 )
-from repro.analysis.sanitizer import (
-    HardwareSanitizer,
-    SanitizedOmegaNetworkSimulator,
-    SanitizedSlotListManager,
-    Violation,
-    sanitize_enabled,
-)
+from repro.analysis.sanitizer import HardwareSanitizer, Violation
 
 __all__ = [
     "Finding",
     "HardwareSanitizer",
     "LintRule",
     "RULES",
-    "SanitizedOmegaNetworkSimulator",
-    "SanitizedSlotListManager",
     "Violation",
     "lint_paths",
     "lint_source",
     "render_github",
     "render_json",
     "render_text",
-    "sanitize_enabled",
 ]

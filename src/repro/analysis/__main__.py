@@ -60,7 +60,8 @@ def _cmd_rules(_args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     # Imported here so plain lint runs never pull in numpy/the simulator.
-    from repro.analysis.sanitizer import SanitizedOmegaNetworkSimulator
+    from repro.analysis.sanitizer import HardwareSanitizer
+    from repro.instrument import ObservedOmegaNetworkSimulator
     from repro.network.simulator import NetworkConfig
 
     config = NetworkConfig(
@@ -71,7 +72,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         offered_load=args.load,
         seed=args.seed,
     )
-    simulator = SanitizedOmegaNetworkSimulator(config)
+    sanitizer = HardwareSanitizer()
+    simulator = ObservedOmegaNetworkSimulator(config, [sanitizer])
     result = simulator.run(
         warmup_cycles=args.warmup, measure_cycles=args.cycles
     )
@@ -79,8 +81,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         f"simulated {args.buffer} {args.ports}x{args.ports} omega network: "
         f"{result.meters.delivered} delivered over {args.cycles} cycles"
     )
-    print(simulator.sanitizer.render())
-    return 0 if simulator.sanitizer.clean else 1
+    print(sanitizer.render())
+    return 0 if sanitizer.clean else 1
 
 
 def _export_counterexample(

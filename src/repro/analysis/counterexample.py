@@ -197,7 +197,7 @@ if __name__ == "__main__":
         buffers = self._build_traced(session)
         next_id = 0
         for step, action in enumerate(self.actions):
-            session.begin_cycle(step)
+            session.on_cycle(step)
             try:
                 next_id = self._drive(buffers, action, next_id)
             except ReproError:
@@ -210,6 +210,8 @@ if __name__ == "__main__":
         return {"vcd": vcd_path, "chrome": chrome_path}
 
     def _build_traced(self, session: Any) -> list[SwitchBuffer]:
+        from repro.instrument import observe
+
         system = self.config.get("system")
         if system == "starvation":
             # Single-buffer arrive/depart trace, like "buffer".
@@ -218,22 +220,23 @@ if __name__ == "__main__":
                 self.config["capacity"],
                 self.config["num_outputs"],
             )
-            return [session.adopt_buffer(buffer, "buffer0")]
+            return [observe(buffer, session, "buffer0")]
         if system == "buffer":
             buffer = make_buffer(
                 self.config["kind"],
                 self.config["capacity"],
                 self.config["num_outputs"],
             )
-            return [session.adopt_buffer(buffer, "buffer0")]
+            return [observe(buffer, session, "buffer0")]
         if system == "switch":
             return [
-                session.adopt_buffer(
+                observe(
                     make_buffer(
                         self.config["kind"],
                         self.config["slots"],
                         self.config["num_ports"],
                     ),
+                    session,
                     f"in{port}",
                 )
                 for port in range(self.config["num_ports"])
@@ -246,8 +249,8 @@ if __name__ == "__main__":
                 "FIFO", self.config["capacity"], self.config["num_outputs"]
             )
             return [
-                session.adopt_buffer(damq, "damq"),
-                session.adopt_buffer(fifo, "fifo"),
+                observe(damq, session, "damq"),
+                observe(fifo, session, "fifo"),
             ]
         if system == "dominance":
             partitioned = make_buffer(
@@ -259,8 +262,8 @@ if __name__ == "__main__":
                 "DAMQ", self.config["capacity"], self.config["num_outputs"]
             )
             return [
-                session.adopt_buffer(partitioned, "partitioned"),
-                session.adopt_buffer(damq, "damq"),
+                observe(partitioned, session, "partitioned"),
+                observe(damq, session, "damq"),
             ]
         raise ConfigurationError(f"unknown transition system {system!r}")
 

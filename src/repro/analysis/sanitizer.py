@@ -8,79 +8,50 @@ linked list (a destination list, the free list, or — after a hard fault —
 retired limbo).  A modeling bug that violates either constraint produces
 results no chip could, while still looking statistically plausible.
 
-This module is the opt-in instrumentation layer that checks those
-constraints while a simulation runs:
+:class:`HardwareSanitizer` is the :class:`~repro.instrument.Observer`
+that checks those constraints while a simulation runs:
 
-* **Slot lifecycle** — :class:`SanitizedSlotListManager` tracks a state
-  machine per slot (free / in-use / retired) across the choke points of
-  the register-file model and reports *use-after-free* (the free list
-  handed out a slot still in use) and *double-free* (a slot already free
-  appended to the free list again), each with the slot's recent operation
-  trace.
-* **Pointer RAM structure** — :meth:`SanitizedSlotListManager.scan` walks
-  every head register through the pointer RAM and reports *pointer
-  cycles*, *wild pointers* (out-of-range), *cross-links* (one slot on two
-  lists) and *pointer leaks* (unreachable live slots).
-* **Port bandwidth** — the sanitized buffer subclasses count enqueues and
-  dequeues per simulated cycle and report *write-port-overrun* /
-  *read-port-overrun* the moment a buffer performs more RAM accesses in
-  one network cycle than its port budget allows.  (At the packet
-  granularity of the network model, the paper's 12-clock network cycle —
-  8 transmit + 4 route — admits at most one packet through the single
-  write port and one per read port, which is the budget enforced here.)
+* **Slot lifecycle** — a state machine per slot (free / in-use / retired)
+  driven by the slot manager's choke points reports *use-after-free* (the
+  free list handed out a slot still in use) and *double-free* (a slot
+  already free appended to the free list again), each with the slot's
+  recent operation trace.
+* **Pointer RAM structure** — :meth:`HardwareSanitizer.scan` walks every
+  head register through the pointer RAM and reports *pointer cycles*,
+  *wild pointers* (out-of-range), *cross-links* (one slot on two lists)
+  and *pointer leaks* (unreachable live slots).
+* **Port bandwidth** — enqueues and dequeues are counted per simulated
+  cycle and buffer; *write-port-overrun* / *read-port-overrun* is
+  reported the moment a buffer performs more RAM accesses in one network
+  cycle than its port budget allows.  (At the packet granularity of the
+  network model, the paper's 12-clock network cycle — 8 transmit + 4
+  route — admits at most one packet through the single write port and
+  one per read port, which is the budget enforced here.)
 
-Instrumentation is guarded behind subclasses installed by a factory
-(:meth:`HardwareSanitizer.wrap_factory`), never per-call branches: with
-the sanitizer off, the simulator constructs the plain classes and the hot
-path is byte-for-byte the PR 2 code.  The sanitizer only *observes* —
-it draws nothing from any RNG and never changes model behaviour, so
-sanitized runs stay bit-identical to plain ones.
-
-Enable it with the environment variable ``REPRO_SANITIZE=1`` (honoured by
+The sanitizer only *observes*: it draws nothing from any RNG and never
+changes model behaviour, so sanitized runs stay bit-identical to plain
+ones.  Enable it with ``REPRO_SANITIZE=1`` (honoured by
 :func:`repro.network.simulator.simulate` and the experiment stack,
-including parallel workers) or explicitly via
-``OmegaNetworkSimulator``-compatible :class:`SanitizedOmegaNetworkSimulator`
-or ``Switch(..., sanitizer=HardwareSanitizer())``.
+including parallel workers), with ``make_simulator(config,
+sanitize=True)``, or by passing one to
+:class:`~repro.instrument.ObservedOmegaNetworkSimulator`; attach it to a
+standalone component with :func:`~repro.instrument.observe`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.arch.crosspoint import CrosspointBuffer
-from repro.arch.damq_reserved import DamqReservedBuffer
 from repro.core.buffer import SwitchBuffer
-from repro.core.damq import DamqBuffer
-from repro.core.fifo import FifoBuffer
 from repro.core.linkedlist import NO_SLOT, SlotListManager
 from repro.core.packet import Packet
-from repro.core.safc import SafcBuffer
-from repro.core.samq import SamqBuffer
 from repro.errors import ConfigurationError, SanitizerError
-from repro.network.metrics import SimulationResult
-from repro.network.simulator import NetworkConfig, OmegaNetworkSimulator
+from repro.instrument import Observer
+from repro.network.simulator import OmegaNetworkSimulator
 
-__all__ = [
-    "HardwareSanitizer",
-    "SanitizedCrosspointBuffer",
-    "SanitizedDamqBuffer",
-    "SanitizedDamqReservedBuffer",
-    "SanitizedFifoBuffer",
-    "SanitizedOmegaNetworkSimulator",
-    "SanitizedSafcBuffer",
-    "SanitizedSamqBuffer",
-    "SanitizedSlotListManager",
-    "Violation",
-    "sanitize_enabled",
-]
-
-#: Environment variable that switches the sanitizer on for ``simulate()``.
-SANITIZE_ENV = "REPRO_SANITIZE"
+__all__ = ["HardwareSanitizer", "Violation"]
 
 #: Write ports per buffer pool (Section 3.1: one write per clock).
 WRITE_PORTS = 1
@@ -88,19 +59,9 @@ WRITE_PORTS = 1
 #: Recent operations kept per slot / per buffer for violation traces.
 TRACE_DEPTH = 8
 
-# Slot lifecycle states tracked by the sanitized slot manager.
+# Slot lifecycle states tracked per slot manager.
 _FREE, _IN_USE, _RETIRED = 0, 1, 2
 _STATE_NAMES = {_FREE: "free", _IN_USE: "in-use", _RETIRED: "retired"}
-
-
-def sanitize_enabled(env: str | None = None) -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for a sanitized run.
-
-    Any value other than empty/``0`` enables the sanitizer; ``env``
-    overrides the environment for tests.
-    """
-    value = os.environ.get(SANITIZE_ENV, "") if env is None else env
-    return value not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -141,7 +102,41 @@ class Violation:
         }
 
 
-class HardwareSanitizer:
+@dataclass
+class _Ports:
+    """Per-buffer port accounting for the current cycle.
+
+    The counters reset lazily on the first access of a new cycle, so idle
+    buffers cost nothing.
+    """
+
+    label: str
+    stamp: int = -1
+    writes: int = 0
+    reads: int = 0
+    trace: deque[str] = field(default_factory=lambda: deque(maxlen=TRACE_DEPTH))
+
+
+@dataclass
+class _Slots:
+    """Per-manager slot lifecycle state and per-slot operation history."""
+
+    label: str
+    state: list[int]
+    history: list[deque[str]]
+
+
+def _derive_states(manager: SlotListManager) -> list[int]:
+    """Slot states read off the register file (adoption and restore)."""
+    state = [_IN_USE] * manager.num_slots
+    for slot in manager.free_slots():
+        state[slot] = _FREE
+    for slot in manager.retired_slots():
+        state[slot] = _RETIRED
+    return state
+
+
+class HardwareSanitizer(Observer):
     """Collects violations from every sanitized component of one run.
 
     The sanitizer never raises from inside the model — it records and
@@ -160,14 +155,10 @@ class HardwareSanitizer:
         #: Violations not recorded because ``max_violations`` was reached.
         self.dropped = 0
         self._max_violations = max_violations
-        self._buffers: list[SwitchBuffer] = []
-        self._managers: list["SanitizedSlotListManager"] = []
+        self._ports: dict[SwitchBuffer, _Ports] = {}
+        self._slots: dict[SlotListManager, _Slots] = {}
 
     # -- recording -------------------------------------------------------
-
-    def begin_cycle(self, cycle: int) -> None:
-        """Advance the cycle stamp (call once per simulated cycle)."""
-        self.cycle = cycle
 
     def record(
         self,
@@ -192,71 +183,192 @@ class HardwareSanitizer:
             )
         )
 
-    # -- component adoption ----------------------------------------------
+    # -- observer hooks ----------------------------------------------------
 
-    def adopt_buffer(self, buffer: SwitchBuffer, label: str | None = None) -> SwitchBuffer:
-        """Install the sanitized subclass onto a freshly built buffer.
-
-        The swap is class-level (``__class__`` reassignment onto a
-        subclass adding only bookkeeping attributes), so the buffer keeps
-        its exact state and the plain classes stay untouched.
-        """
-        sanitized_class = _SANITIZED_BUFFER_CLASSES.get(type(buffer))
-        if sanitized_class is None:
-            raise ConfigurationError(
-                f"cannot sanitize buffer of type {type(buffer).__name__}; "
-                f"expected one of "
-                f"{sorted(cls.__name__ for cls in _SANITIZED_BUFFER_CLASSES)}"
+    def attach(self, component: Any, label: str) -> None:
+        if isinstance(component, SwitchBuffer):
+            self._ports[component] = _Ports(label)
+        elif isinstance(component, SlotListManager):
+            self._slots[component] = _Slots(
+                label,
+                _derive_states(component),
+                [deque(maxlen=TRACE_DEPTH) for _ in range(component.num_slots)],
             )
-        buffer.__class__ = sanitized_class
-        buffer._san = self  # type: ignore[attr-defined]
-        buffer._san_label = label or f"buffer{len(self._buffers)}"  # type: ignore[attr-defined]
-        buffer._san_stamp = -1  # type: ignore[attr-defined]
-        buffer._san_writes = 0  # type: ignore[attr-defined]
-        buffer._san_reads = 0  # type: ignore[attr-defined]
-        buffer._san_trace = deque(maxlen=TRACE_DEPTH)  # type: ignore[attr-defined]
-        if isinstance(buffer, DamqBuffer):
-            SanitizedSlotListManager.adopt(
-                buffer._lists, self, buffer._san_label  # type: ignore[attr-defined]
+
+    def on_cycle(self, cycle: int) -> None:
+        self.cycle = cycle
+
+    def _count_port(self, buffer: SwitchBuffer) -> _Ports:
+        ports = self._ports[buffer]
+        if ports.stamp != self.cycle:
+            ports.stamp = self.cycle
+            ports.writes = 0
+            ports.reads = 0
+        return ports
+
+    def on_push(
+        self, buffer: SwitchBuffer, packet: Packet, destination: int
+    ) -> None:
+        ports = self._count_port(buffer)
+        ports.writes += 1
+        ports.trace.append(
+            f"cycle {self.cycle}: push(dest={destination}, size={packet.size})"
+        )
+        if ports.writes > WRITE_PORTS:
+            self.record(
+                "write-port-overrun",
+                ports.label,
+                f"{ports.writes} enqueues in one network cycle exceed the "
+                f"buffer pool's single write port",
+                trace=tuple(ports.trace),
             )
-        self._buffers.append(buffer)
-        return buffer
 
-    def wrap_factory(
-        self, factory: Callable[[int], SwitchBuffer]
-    ) -> Callable[[int], SwitchBuffer]:
-        """Wrap a buffer factory so every built buffer is sanitized."""
+    def on_pop(
+        self, buffer: SwitchBuffer, packet: Packet, destination: int
+    ) -> None:
+        ports = self._count_port(buffer)
+        ports.reads += 1
+        ports.trace.append(
+            f"cycle {self.cycle}: pop(dest={destination}, size={packet.size})"
+        )
+        budget = buffer.max_reads_per_cycle
+        if ports.reads > budget:
+            self.record(
+                "read-port-overrun",
+                ports.label,
+                f"{ports.reads} dequeues in one network cycle exceed the "
+                f"buffer's {budget} read port(s)",
+                trace=tuple(ports.trace),
+            )
 
-        def sanitized_factory(num_outputs: int) -> SwitchBuffer:
-            return self.adopt_buffer(factory(num_outputs))
+    def on_slot(
+        self, manager: SlotListManager, op: str, slot: int, list_id: int
+    ) -> None:
+        table = self._slots[manager]
+        if op == "restore":
+            # Checkpoints carry only the hardware registers: rebuild the
+            # lifecycle state machine exactly as adoption builds it.
+            table.state = _derive_states(manager)
+            return
+        if not 0 <= slot < manager.num_slots:
+            return
+        history = table.history[slot]
+        state = table.state[slot]
+        if op == "alloc":
+            if state != _FREE:
+                history.append(
+                    f"cycle {self.cycle}: allocate(list={list_id}) [VIOLATION]"
+                )
+                self.record(
+                    "use-after-free",
+                    table.label,
+                    f"free list handed out slot {slot} while it is "
+                    f"{_STATE_NAMES[state]}: the previous owner's data "
+                    f"would be clobbered",
+                    slot=slot,
+                    trace=tuple(history),
+                )
+            else:
+                history.append(f"cycle {self.cycle}: allocate(list={list_id})")
+            table.state[slot] = _IN_USE
+        elif op == "free":
+            if state == _FREE:
+                history.append(f"cycle {self.cycle}: free [VIOLATION]")
+                self.record(
+                    "double-free",
+                    table.label,
+                    f"slot {slot} appended to the free list while already "
+                    f"free: the free list now aliases itself",
+                    slot=slot,
+                    trace=tuple(history),
+                )
+            else:
+                history.append(f"cycle {self.cycle}: free")
+            table.state[slot] = _FREE
+        elif op == "retire":
+            history.append(f"cycle {self.cycle}: retire")
+            table.state[slot] = _RETIRED
 
-        return sanitized_factory
-
-    def adopt_slot_manager(
-        self, manager: SlotListManager, label: str
-    ) -> "SanitizedSlotListManager":
-        """Sanitize a standalone slot manager (e.g. the chip model's)."""
-        return SanitizedSlotListManager.adopt(manager, self, label)
-
-    def set_label(self, buffer: SwitchBuffer, label: str) -> None:
-        """Give a registered buffer a descriptive label for reports."""
-        buffer._san_label = label  # type: ignore[attr-defined]
-        if isinstance(buffer, DamqBuffer):
-            buffer._lists._san_label = label  # type: ignore[attr-defined]
+    def on_finish(self, simulator: OmegaNetworkSimulator) -> None:
+        self.scan()
 
     # -- structural scans --------------------------------------------------
 
     def scan(self) -> int:
-        """Deep pointer-RAM scan of every adopted slot manager.
+        """Deep pointer-RAM scan of every observed slot manager.
 
         Walks each head register through the pointer RAM looking for
-        cycles, wild pointers, cross-links and leaks.  Returns the number
-        of new violations recorded.
+        cycles, wild pointers, cross-links and leaks (read-only: the walk
+        never mutates the register file).  Returns the number of new
+        violations recorded.
         """
         before = len(self.violations) + self.dropped
-        for manager in self._managers:
-            manager.scan()
+        for manager, table in self._slots.items():
+            reached: dict[int, str] = {}
+            for list_id in range(manager.num_lists):
+                start = (
+                    manager._head[list_id]
+                    if manager._length[list_id]
+                    else NO_SLOT
+                )
+                self._walk(manager, table, f"list {list_id}", start, reached)
+            free_start = manager._free_head if manager._free_count else NO_SLOT
+            self._walk(manager, table, "free list", free_start, reached)
+            for slot in range(manager.num_slots):
+                if slot not in reached and table.state[slot] != _RETIRED:
+                    self.record(
+                        "pointer-leak",
+                        table.label,
+                        f"slot {slot} ({_STATE_NAMES[table.state[slot]]}) "
+                        f"is unreachable from every head register: its "
+                        f"storage is lost to the pool",
+                        slot=slot,
+                        trace=tuple(table.history[slot]),
+                    )
         return len(self.violations) + self.dropped - before
+
+    def _walk(
+        self,
+        manager: SlotListManager,
+        table: _Slots,
+        chain: str,
+        start: int,
+        reached: dict[int, str],
+    ) -> None:
+        seen: set[int] = set()
+        slot = start
+        while slot != NO_SLOT:
+            if not 0 <= slot < manager.num_slots:
+                self.record(
+                    "wild-pointer",
+                    table.label,
+                    f"{chain} points at slot {slot}, outside the "
+                    f"{manager.num_slots}-slot pool",
+                )
+                return
+            if slot in seen:
+                self.record(
+                    "pointer-cycle",
+                    table.label,
+                    f"{chain} loops back to slot {slot}: a transmitter "
+                    f"draining this list would never terminate",
+                    slot=slot,
+                    trace=tuple(table.history[slot]),
+                )
+                return
+            if slot in reached:
+                self.record(
+                    "cross-link",
+                    table.label,
+                    f"slot {slot} is reachable from both {reached[slot]} "
+                    f"and {chain}",
+                    slot=slot,
+                    trace=tuple(table.history[slot]),
+                )
+                return
+            seen.add(slot)
+            reached[slot] = chain
+            slot = manager._next[slot]
 
     # -- reporting ---------------------------------------------------------
 
@@ -271,7 +383,7 @@ class HardwareSanitizer:
             "clean": self.clean,
             "violations": [violation.as_dict() for violation in self.violations],
             "dropped": self.dropped,
-            "buffers": len(self._buffers),
+            "buffers": len(self._ports),
         }
 
     def render(self) -> str:
@@ -279,7 +391,7 @@ class HardwareSanitizer:
         if self.clean:
             return (
                 f"sanitizer clean: 0 violations across "
-                f"{len(self._buffers)} buffer(s)"
+                f"{len(self._ports)} buffer(s)"
             )
         lines = [violation.render() for violation in self.violations]
         lines.append(
@@ -292,393 +404,3 @@ class HardwareSanitizer:
         """Raise :class:`~repro.errors.SanitizerError` on any violation."""
         if not self.clean:
             raise SanitizerError(self.render())
-
-
-class SanitizedSlotListManager(SlotListManager):
-    """Slot manager with a lifecycle state machine bolted on.
-
-    Installed over a live :class:`SlotListManager` by :meth:`adopt`; the
-    overrides sit on the three choke points every slot movement passes
-    through (``allocate``, ``_append_free``, ``retire_slot``), so the
-    datapath operations themselves stay the inherited, hardware-faithful
-    code.
-    """
-
-    # Adoption-time attributes (no __init__ of its own: instances are
-    # created by __class__ reassignment, preserving live state).
-    _san: HardwareSanitizer
-    _san_label: str
-    _slot_state: list[int]
-    _slot_history: list[deque[str]]
-
-    @classmethod
-    def adopt(
-        cls,
-        manager: SlotListManager,
-        sanitizer: HardwareSanitizer,
-        label: str,
-    ) -> "SanitizedSlotListManager":
-        """Swap a live manager's class and derive its slot states."""
-        if isinstance(manager, cls):
-            manager._san = sanitizer
-            manager._san_label = label
-            return manager
-        if type(manager) is not SlotListManager:
-            raise ConfigurationError(
-                f"cannot sanitize slot manager of type {type(manager).__name__}"
-            )
-        manager.__class__ = cls
-        adopted: "SanitizedSlotListManager" = manager  # type: ignore[assignment]
-        adopted._san = sanitizer
-        adopted._san_label = label
-        state = [_IN_USE] * adopted.num_slots
-        for slot in adopted.free_slots():
-            state[slot] = _FREE
-        for slot in adopted.retired_slots():
-            state[slot] = _RETIRED
-        adopted._slot_state = state
-        adopted._slot_history = [
-            deque(maxlen=TRACE_DEPTH) for _ in range(adopted.num_slots)
-        ]
-        sanitizer._managers.append(adopted)
-        return adopted
-
-    # -- tracing helpers ---------------------------------------------------
-
-    def _note(self, slot: int, operation: str) -> None:
-        self._slot_history[slot].append(
-            f"cycle {self._san.cycle}: {operation}"
-        )
-
-    def _trace(self, slot: int) -> tuple[str, ...]:
-        return tuple(self._slot_history[slot])
-
-    # -- instrumented choke points ----------------------------------------
-
-    def allocate(self, list_id: int) -> int:
-        slot = super().allocate(list_id)
-        if self._slot_state[slot] != _FREE:
-            self._note(slot, f"allocate(list={list_id}) [VIOLATION]")
-            self._san.record(
-                "use-after-free",
-                self._san_label,
-                f"free list handed out slot {slot} while it is "
-                f"{_STATE_NAMES[self._slot_state[slot]]}: the previous "
-                f"owner's data would be clobbered",
-                slot=slot,
-                trace=self._trace(slot),
-            )
-        else:
-            self._note(slot, f"allocate(list={list_id})")
-        self._slot_state[slot] = _IN_USE
-        return slot
-
-    def _append_free(self, slot: int) -> None:
-        if 0 <= slot < self.num_slots:
-            if self._slot_state[slot] == _FREE:
-                self._note(slot, "free [VIOLATION]")
-                self._san.record(
-                    "double-free",
-                    self._san_label,
-                    f"slot {slot} appended to the free list while already "
-                    f"free: the free list now aliases itself",
-                    slot=slot,
-                    trace=self._trace(slot),
-                )
-            else:
-                self._note(slot, "free")
-            self._slot_state[slot] = _FREE
-        super()._append_free(slot)
-
-    def retire_slot(self, slot: int | None = None) -> int:
-        retired = super().retire_slot(slot)
-        self._note(retired, "retire")
-        self._slot_state[retired] = _RETIRED
-        return retired
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Restore the register file, then re-derive the slot states.
-
-        Checkpoint snapshots are sanitizer-agnostic (they carry only the
-        hardware registers), so after the inherited restore the lifecycle
-        state machine is rebuilt exactly as :meth:`adopt` builds it.
-        """
-        super().restore_state(state)
-        derived = [_IN_USE] * self.num_slots
-        for slot in self.free_slots():
-            derived[slot] = _FREE
-        for slot in self.retired_slots():
-            derived[slot] = _RETIRED
-        self._slot_state = derived
-
-    # -- structural scan ---------------------------------------------------
-
-    def scan(self) -> None:
-        """Walk every head register through the pointer RAM.
-
-        Reports pointer cycles, wild (out-of-range) pointers, cross-links
-        (a slot reachable from two heads) and leaks (a live slot no head
-        reaches).  Read-only: the walk never mutates the register file.
-        """
-        reached: dict[int, str] = {}
-        for list_id in range(self.num_lists):
-            start = self._head[list_id] if self._length[list_id] else NO_SLOT
-            self._walk(f"list {list_id}", start, reached)
-        free_start = self._free_head if self._free_count else NO_SLOT
-        self._walk("free list", free_start, reached)
-        for slot in range(self.num_slots):
-            if slot not in reached and self._slot_state[slot] != _RETIRED:
-                self._san.record(
-                    "pointer-leak",
-                    self._san_label,
-                    f"slot {slot} ({_STATE_NAMES[self._slot_state[slot]]}) "
-                    f"is unreachable from every head register: its storage "
-                    f"is lost to the pool",
-                    slot=slot,
-                    trace=self._trace(slot),
-                )
-
-    def _walk(self, chain: str, start: int, reached: dict[int, str]) -> None:
-        seen: set[int] = set()
-        slot = start
-        while slot != NO_SLOT:
-            if not 0 <= slot < self.num_slots:
-                self._san.record(
-                    "wild-pointer",
-                    self._san_label,
-                    f"{chain} points at slot {slot}, outside the "
-                    f"{self.num_slots}-slot pool",
-                    slot=None,
-                )
-                return
-            if slot in seen:
-                self._san.record(
-                    "pointer-cycle",
-                    self._san_label,
-                    f"{chain} loops back to slot {slot}: a transmitter "
-                    f"draining this list would never terminate",
-                    slot=slot,
-                    trace=self._trace(slot),
-                )
-                return
-            if slot in reached:
-                self._san.record(
-                    "cross-link",
-                    self._san_label,
-                    f"slot {slot} is reachable from both {reached[slot]} "
-                    f"and {chain}",
-                    slot=slot,
-                    trace=self._trace(slot),
-                )
-                return
-            seen.add(slot)
-            reached[slot] = chain
-            slot = self._next[slot]
-
-
-class _PortAccounting:
-    """Per-cycle port-bandwidth accounting shared by the four buffers.
-
-    Counts *successful* enqueues and dequeues per simulated cycle against
-    the Section 3.1 budget: one packet through the single write port, and
-    ``max_reads_per_cycle`` dequeues (one per read port).  The counters
-    reset lazily on the first access of a new cycle, so idle buffers cost
-    nothing.
-
-    This is a *trailing* mixin (``class SanitizedX(X, _PortAccounting)``):
-    CPython's ``__class__`` reassignment — how the sanitizer adopts a
-    freshly built buffer — requires the sanitized class to have its plain
-    buffer class as leading base, so the overrides live on the concrete
-    subclasses and call these helpers explicitly.
-    """
-
-    _san: HardwareSanitizer
-    _san_label: str
-    _san_stamp: int
-    _san_writes: int
-    _san_reads: int
-    _san_trace: deque[str]
-
-    def _san_tick(self) -> None:
-        sanitizer = self._san
-        if sanitizer.cycle != self._san_stamp:
-            self._san_stamp = sanitizer.cycle
-            self._san_writes = 0
-            self._san_reads = 0
-
-    def _san_after_push(self, packet: Packet, destination: int) -> None:
-        self._san_tick()
-        self._san_writes += 1
-        self._san_trace.append(
-            f"cycle {self._san.cycle}: push(dest={destination}, "
-            f"size={packet.size})"
-        )
-        if self._san_writes > WRITE_PORTS:
-            self._san.record(
-                "write-port-overrun",
-                self._san_label,
-                f"{self._san_writes} enqueues in one network cycle exceed "
-                f"the buffer pool's single write port",
-                trace=tuple(self._san_trace),
-            )
-
-    def _san_after_pop(self, packet: Packet, destination: int) -> None:
-        self._san_tick()
-        self._san_reads += 1
-        self._san_trace.append(
-            f"cycle {self._san.cycle}: pop(dest={destination}, "
-            f"size={packet.size})"
-        )
-        budget: int = self.max_reads_per_cycle  # type: ignore[attr-defined]
-        if self._san_reads > budget:
-            self._san.record(
-                "read-port-overrun",
-                self._san_label,
-                f"{self._san_reads} dequeues in one network cycle exceed "
-                f"the buffer's {budget} read port(s)",
-                trace=tuple(self._san_trace),
-            )
-
-
-class SanitizedFifoBuffer(FifoBuffer, _PortAccounting):
-    """FIFO buffer with port-bandwidth accounting."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._san_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._san_after_pop(packet, destination)
-        return packet
-
-
-class SanitizedSamqBuffer(SamqBuffer, _PortAccounting):
-    """SAMQ buffer with port-bandwidth accounting."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._san_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._san_after_pop(packet, destination)
-        return packet
-
-
-class SanitizedSafcBuffer(SafcBuffer, _PortAccounting):
-    """SAFC buffer with port-bandwidth accounting (one read per output)."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._san_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._san_after_pop(packet, destination)
-        return packet
-
-
-class SanitizedDamqBuffer(DamqBuffer, _PortAccounting):
-    """DAMQ buffer with port accounting and a sanitized slot manager."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._san_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._san_after_pop(packet, destination)
-        return packet
-
-
-class SanitizedDamqReservedBuffer(DamqReservedBuffer, _PortAccounting):
-    """Reserved-slot DAMQ with port accounting and a sanitized slot manager.
-
-    The inherited ``isinstance(buffer, DamqBuffer)`` adoption path also
-    wraps its (plain) :class:`SlotListManager`, so the pointer-RAM checks
-    cover the reserved variant for free.
-    """
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._san_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._san_after_pop(packet, destination)
-        return packet
-
-
-class SanitizedCrosspointBuffer(CrosspointBuffer, _PortAccounting):
-    """CQ buffer with port accounting (one read port per crosspoint)."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._san_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._san_after_pop(packet, destination)
-        return packet
-
-
-#: Plain class -> sanitized subclass, for ``__class__`` adoption.
-_SANITIZED_BUFFER_CLASSES: dict[type[SwitchBuffer], type[SwitchBuffer]] = {
-    FifoBuffer: SanitizedFifoBuffer,
-    SamqBuffer: SanitizedSamqBuffer,
-    SafcBuffer: SanitizedSafcBuffer,
-    DamqBuffer: SanitizedDamqBuffer,
-    DamqReservedBuffer: SanitizedDamqReservedBuffer,
-    CrosspointBuffer: SanitizedCrosspointBuffer,
-}
-
-
-class SanitizedOmegaNetworkSimulator(OmegaNetworkSimulator):
-    """Omega-network simulator with every input buffer sanitized.
-
-    Drop-in replacement for :class:`OmegaNetworkSimulator`: identical
-    configuration, identical results (the sanitizer observes, never
-    perturbs — it draws nothing from any RNG), plus a
-    :attr:`sanitizer` whose report covers the whole run.  The final
-    :meth:`run` performs a deep pointer-RAM scan before returning.
-    """
-
-    def __init__(
-        self,
-        config: NetworkConfig,
-        sanitizer: HardwareSanitizer | None = None,
-    ) -> None:
-        self.sanitizer = sanitizer if sanitizer is not None else HardwareSanitizer()
-        super().__init__(config)
-        for stage, row in enumerate(self.switches):
-            for index, switch in enumerate(row):
-                for port, buffer in enumerate(switch.buffers):
-                    self.sanitizer.set_label(
-                        buffer, f"stage{stage}.switch{index}.in{port}"
-                    )
-
-    def _make_buffer_factory(
-        self, config: NetworkConfig
-    ) -> Callable[[int], SwitchBuffer]:
-        return self.sanitizer.wrap_factory(super()._make_buffer_factory(config))
-
-    def step(self) -> None:
-        self.sanitizer.begin_cycle(self.cycle)
-        super().step()
-
-    def run(
-        self,
-        warmup_cycles: int = 2000,
-        measure_cycles: int = 10000,
-        checkpoint_every: int | None = None,
-        checkpoint_path: "str | Path | None" = None,
-    ) -> "SimulationResult":
-        result = super().run(
-            warmup_cycles,
-            measure_cycles,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-        self.sanitizer.scan()
-        return result

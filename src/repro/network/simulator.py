@@ -319,10 +319,11 @@ class OmegaNetworkSimulator:
     ) -> Callable[[int], SwitchBuffer]:
         """Build the per-input buffer factory.
 
-        Override hook for instrumented simulators: the sanitized subclass
-        (:class:`repro.analysis.sanitizer.SanitizedOmegaNetworkSimulator`)
-        wraps the returned factory so every buffer is instrumented, while
-        this base class keeps the plain, zero-overhead construction.
+        Override hook for instrumented simulators:
+        :class:`repro.instrument.ObservedOmegaNetworkSimulator` wraps the
+        returned factory so every buffer is observed (and labelled) as it
+        is built, while this base class keeps the plain, zero-overhead
+        construction.
         """
         return make_buffer_factory(config.buffer_kind, config.slots_per_buffer)
 
@@ -776,7 +777,7 @@ def make_simulator(
     sanitize: bool | None = None,
     trace: bool | None = None,
 ) -> OmegaNetworkSimulator:
-    """Build a plain, sanitized or telemetry-instrumented simulator.
+    """Build a plain or observed (sanitized and/or traced) simulator.
 
     ``sanitize=None`` (the default) consults the ``REPRO_SANITIZE``
     environment variable, so an unmodified experiment pipeline — including
@@ -785,51 +786,40 @@ def make_simulator(
     ``trace=None`` likewise consults ``REPRO_TRACE`` (full event tracing)
     and ``REPRO_METRICS`` (counters only, no event ring); when either
     names a directory, the run exports its telemetry artifacts there.
-    Both instrumentations observe without perturbing (no RNG draws, no
-    behaviour changes), so results are bit-identical either way; with
-    everything off, this constructs :class:`OmegaNetworkSimulator`
+    Both rails observe without perturbing (no RNG draws, no behaviour
+    changes), so results are bit-identical with either, both or neither;
+    with everything off, this constructs :class:`OmegaNetworkSimulator`
     directly and carries zero instrumentation overhead.
-
-    Sanitizing and tracing both claim the buffer classes via
-    ``__class__`` adoption, so combining them is rejected rather than
-    silently half-applied.
     """
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-    trace_dir: str | None
-    metrics_dir: str | None
-    if trace is None:
-        from repro.telemetry.session import metrics_directory, trace_directory
-
-        trace_dir = trace_directory()
-        metrics_dir = metrics_directory()
-    else:
-        trace_dir = "" if trace else None
-        metrics_dir = None
-    if trace_dir is None and metrics_dir is None:
-        if not sanitize:
-            return OmegaNetworkSimulator(config)
-        from repro.analysis.sanitizer import SanitizedOmegaNetworkSimulator
-
-        return SanitizedOmegaNetworkSimulator(config)
-    if sanitize:
-        raise ConfigurationError(
-            "REPRO_SANITIZE and REPRO_TRACE/REPRO_METRICS are mutually "
-            "exclusive: both instrument the buffer classes via __class__ "
-            "adoption; run them in separate passes"
-        )
-    from repro.telemetry.session import TraceSession
-    from repro.telemetry.simulator import TracedOmegaNetworkSimulator
-
-    if trace_dir is not None:
-        session = TraceSession()
-        export = trace_dir
-    else:
-        session = TraceSession(capacity=0)
-        export = metrics_dir or ""
-    return TracedOmegaNetworkSimulator(
-        config, session=session, export_dir=export or None
+    from repro.instrument import (
+        ObservedOmegaNetworkSimulator,
+        Observer,
+        env_instrumentation,
     )
+
+    env = env_instrumentation()
+    if sanitize is None:
+        sanitize = env.sanitize
+    if trace is None:
+        trace_dir, metrics_dir = env.trace_dir, env.metrics_dir
+    else:
+        trace_dir, metrics_dir = ("" if trace else None), None
+    if not sanitize and trace_dir is None and metrics_dir is None:
+        return OmegaNetworkSimulator(config)
+    observers: list[Observer] = []
+    if sanitize:
+        from repro.analysis.sanitizer import HardwareSanitizer
+
+        observers.append(HardwareSanitizer())
+    if trace_dir is not None or metrics_dir is not None:
+        from repro.telemetry.session import TraceSession
+
+        if trace_dir is not None:
+            session = TraceSession(export_dir=trace_dir or None)
+        else:
+            session = TraceSession(capacity=0, export_dir=metrics_dir or None)
+        observers.append(session)
+    return ObservedOmegaNetworkSimulator(config, observers)
 
 
 def simulate(
@@ -858,25 +848,18 @@ def simulate(
     preference silently falls back — the resolution rules of
     :func:`repro.kernel.base.resolve_backend`.
     """
+    from repro.instrument import env_instrumentation
     from repro.kernel.base import resolve_backend
-    from repro.telemetry.session import metrics_directory, trace_directory
 
-    effective_sanitize = (
-        sanitize
-        if sanitize is not None
-        else os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-    )
-    tracing = (
-        trace_directory() is not None or metrics_directory() is not None
-    )
+    env = env_instrumentation()
     checkpointing = (
         checkpoint_every is not None and checkpoint_path is not None
     )
     resolved = resolve_backend(
         config,
         backend,
-        sanitize=effective_sanitize,
-        trace=tracing,
+        sanitize=env.sanitize if sanitize is None else sanitize,
+        trace=env.tracing,
         checkpoint=checkpointing,
     )
     if resolved == "numpy":
@@ -909,7 +892,7 @@ def restore_simulator(
 
     A fresh simulator is constructed from the snapshot's own config and
     the snapshot restored into it, so the result is valid under either
-    the plain or the sanitized class — snapshots themselves are
+    the plain or an observed class — snapshots themselves are
     sanitizer-agnostic (the sanitizer holds no simulation state).
     """
     config = NetworkConfig.from_state(state["config"])

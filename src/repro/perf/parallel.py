@@ -282,13 +282,10 @@ def _resolve_backends(
     see — so resolving here keeps the dispatch decision and the worker
     behaviour consistent.
     """
+    from repro.instrument import env_instrumentation
     from repro.kernel.base import resolve_backend
-    from repro.telemetry.session import metrics_directory, trace_directory
 
-    sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-    tracing = (
-        trace_directory() is not None or metrics_directory() is not None
-    )
+    env = env_instrumentation()
     checkpointing = (
         context is not None
         and context.checkpoint_every is not None
@@ -298,8 +295,8 @@ def _resolve_backends(
         resolve_backend(
             config,
             backend,
-            sanitize=sanitize,
-            trace=tracing,
+            sanitize=env.sanitize,
+            trace=env.tracing,
             checkpoint=checkpointing,
         )
         for config in configs

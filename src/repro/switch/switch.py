@@ -12,16 +12,13 @@ and the simulator moves the granted packets downstream.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.buffer import SwitchBuffer
 from repro.core.packet import Packet
 from repro.errors import ConfigurationError
 from repro.switch.arbiter import BlockedPredicate, Grant, Scheduler
 from repro.switch.crossbar import Crossbar
-
-if TYPE_CHECKING:  # import cycle: repro.analysis.sanitizer imports this module
-    from repro.analysis.sanitizer import HardwareSanitizer
 
 __all__ = ["Switch"]
 
@@ -43,12 +40,6 @@ class Switch:
         The scheduling discipline: the paper's smart/dumb
         :class:`~repro.switch.arbiter.CrossbarArbiter` or any other
         :class:`~repro.switch.scheduler.Scheduler`.
-    sanitizer:
-        Optional :class:`~repro.analysis.sanitizer.HardwareSanitizer`;
-        when given, every buffer this switch builds is wrapped in its
-        instrumented subclass and labeled with the switch id.  The
-        wrapping happens once, at construction — the switch's per-cycle
-        code paths are identical with or without a sanitizer.
     """
 
     def __init__(
@@ -58,21 +49,15 @@ class Switch:
         num_outputs: int,
         buffer_factory: Callable[[int], SwitchBuffer],
         arbiter: Scheduler,
-        sanitizer: "HardwareSanitizer | None" = None,
     ) -> None:
         if arbiter.num_inputs != num_inputs or arbiter.num_outputs != num_outputs:
             raise ConfigurationError("arbiter dimensions do not match switch")
-        if sanitizer is not None:
-            buffer_factory = sanitizer.wrap_factory(buffer_factory)
         self.switch_id = switch_id
         self.num_inputs = num_inputs
         self.num_outputs = num_outputs
         self.buffers: list[SwitchBuffer] = [
             buffer_factory(num_outputs) for _ in range(num_inputs)
         ]
-        if sanitizer is not None:
-            for port, buffer in enumerate(self.buffers):
-                sanitizer.set_label(buffer, f"switch{switch_id}.in{port}")
         kinds = {buffer.kind for buffer in self.buffers}
         if len(kinds) != 1:
             raise ConfigurationError(f"mixed buffer kinds in one switch: {kinds}")

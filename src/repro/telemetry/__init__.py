@@ -1,9 +1,10 @@
 """repro.telemetry — cycle-level tracing, metrics and waveform export.
 
 The observability subsystem: a zero-overhead-when-disabled event bus
-(:class:`TraceSession`) that instruments buffers, slot managers,
-arbiters, the omega-network simulator and the ComCoBB chip ports via the
-same ``__class__``-adoption trick as :mod:`repro.analysis.sanitizer`; a
+(:class:`TraceSession`), the :class:`~repro.instrument.Observer` that
+watches buffers, slot managers, arbiters, the omega-network simulator
+and the ComCoBB chip ports through :mod:`repro.instrument` (the layer it
+shares with :mod:`repro.analysis.sanitizer`); a
 labelled :class:`MetricsRegistry` (counters, gauges, Welford histograms)
 with bit-exact snapshots that compose with :mod:`repro.cache`
 checkpoints and ``parallel_simulate`` merges; and exporters for VCD
@@ -38,14 +39,7 @@ from repro.telemetry.report import (
     metrics_files,
     render_report,
 )
-from repro.telemetry.session import (
-    METRICS_ENV,
-    TRACE_ENV,
-    TraceSession,
-    metrics_directory,
-    trace_directory,
-)
-from repro.telemetry.simulator import TracedOmegaNetworkSimulator, config_tag
+from repro.telemetry.session import TraceSession, config_tag
 from repro.telemetry.vcd import read_vcd, write_vcd
 
 __all__ = [
@@ -55,13 +49,10 @@ __all__ = [
     "EventRing",
     "Gauge",
     "Histogram",
-    "METRICS_ENV",
     "METRICS_VERSION",
     "MetricsRegistry",
-    "TRACE_ENV",
     "TraceEvent",
     "TraceSession",
-    "TracedOmegaNetworkSimulator",
     "config_tag",
     "jain_fairness",
     "load_metrics_document",
@@ -69,8 +60,6 @@ __all__ = [
     "metrics_files",
     "read_vcd",
     "render_report",
-    "trace_directory",
-    "metrics_directory",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_vcd",

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.instrument import ObservedOmegaNetworkSimulator
 from repro.network.simulator import NetworkConfig, Protocol
 from repro.telemetry.report import (
     merge_metrics_documents,
@@ -24,7 +25,6 @@ from repro.telemetry.report import (
     render_report,
 )
 from repro.telemetry.session import TraceSession
-from repro.telemetry.simulator import TracedOmegaNetworkSimulator
 
 __all__ = ["main"]
 
@@ -96,9 +96,9 @@ def _run_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     session = TraceSession(capacity=0) if args.metrics_only else TraceSession()
-    simulator = TracedOmegaNetworkSimulator(config, session=session)
+    simulator = ObservedOmegaNetworkSimulator(config, [session])
     result = simulator.run(args.warmup, args.measure)
-    written = simulator.export(args.out)
+    written = session.export(args.out, simulator)
     print(
         f"delivered={result.delivered_throughput:.3f} "
         f"latency={result.average_latency:.2f} cycles "

@@ -152,11 +152,6 @@ class MetricsRegistry:
             raise ConfigurationError(f"{name} is not a histogram")
         return metric
 
-    def drop(self, type_name: str, name: str, **labels: Any) -> None:
-        """Remove one metric (used when a component is relabelled)."""
-        clean = {key: str(value) for key, value in labels.items()}
-        self._metrics.pop((type_name, name, _labels_key(clean)), None)
-
     # -- queries -----------------------------------------------------------
 
     def rows(self) -> Iterator[Metric]:

@@ -2,7 +2,7 @@
 
 ``python -m repro.telemetry report <dir-or-files>`` loads one or more
 ``*.metrics.json`` documents written by
-:meth:`~repro.telemetry.simulator.TracedOmegaNetworkSimulator.export`,
+:meth:`~repro.telemetry.session.TraceSession.export`,
 merges them (counters add, histograms Welford-merge — exactly the
 semantics of :meth:`~repro.telemetry.metrics.MetricsRegistry.merge_state`)
 and renders the run summary: delivery/loss totals, the hottest queues by

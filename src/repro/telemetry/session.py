@@ -1,144 +1,116 @@
-"""The trace session and the instrumented component subclasses.
+"""The trace session: one run's telemetry observer.
 
-A :class:`TraceSession` is one run's telemetry sink: the bounded event
-ring, the metrics registry, and the current network-cycle stamp.  It
-instruments live components with the same zero-overhead ``__class__``
-adoption the hardware sanitizer uses (see
-:mod:`repro.analysis.sanitizer`): each traced class has the plain class
-as its *leading* base plus a trailing bookkeeping mixin, so swapping
-``component.__class__`` preserves all live state, and with telemetry off
-the plain classes are constructed directly — the hot path carries zero
-instrumentation branches.
+A :class:`TraceSession` is the :class:`~repro.instrument.Observer` that
+turns the model's choke-point activity into cycle-stamped events (the
+bounded :class:`~repro.telemetry.events.EventRing`) and labelled metrics
+(the :class:`~repro.telemetry.metrics.MetricsRegistry`).  It watches
 
-The instrumentation only *observes*: it draws nothing from any RNG and
-never changes model behaviour, so traced runs are bit-identical to plain
-ones (pinned by ``tests/integration/test_determinism_regression.py``).
-
-Choke points instrumented here:
-
-* the four paper buffer classes plus the ``repro.arch`` zoo's
-  (``push``/``pop`` → enqueue/dequeue events, per-buffer counters,
-  occupancy histograms);
-* :class:`~repro.core.linkedlist.SlotListManager` (``allocate`` /
-  ``_append_free`` / ``retire_slot`` → slot alloc/free/retire events and
-  free-depth gauges);
-* every :class:`~repro.switch.scheduler.Scheduler` implementation —
-  :class:`~repro.switch.arbiter.CrossbarArbiter` and the zoo's
-  crosspoint/iterative schedulers (``arbitrate`` → grant/deny events and
+* every buffer kind (``push``/``pop`` → enqueue/dequeue events,
+  per-buffer counters, occupancy histograms);
+* :class:`~repro.core.linkedlist.SlotListManager` (slot alloc/free/retire
+  events and retire counters);
+* every :class:`~repro.switch.scheduler.Scheduler` (grant/deny events and
   per-input fairness counters);
-* the ComCoBB chip's input/output port FSMs (packet completion →
-  link-transfer events and per-port counters).
+* the ComCoBB chip's input/output port FSMs (link events and per-port
+  counters);
+* an :class:`~repro.instrument.ObservedOmegaNetworkSimulator`'s link
+  transfers, deliveries, losses, drops and flow-control transitions.
 
-The network-level instrumentation (simulator cycle stamping, link
-transfers, delivery/loss accounting, flow-control block tracking) lives
-in :class:`repro.telemetry.simulator.TracedOmegaNetworkSimulator`.
+The network counters reconcile exactly with the simulator's meters:
+``packets_delivered_measured`` equals ``meters.delivered``,
+``packets_lost_measured`` equals ``meters.lost``, and
+``packets_delivered_total`` equals the sum of every sink's ``received``
+counter (warm-up deliveries included).
+
+When built by :func:`repro.network.simulator.make_simulator` under
+``REPRO_TRACE=<dir>`` (or ``REPRO_METRICS=<dir>``), the session exports
+the VCD waveform, Chrome ``trace_event`` JSON and metrics document into
+``<dir>`` when the run completes.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
-from repro.arch.crosspoint import CrosspointBuffer
-from repro.arch.damq_reserved import DamqReservedBuffer
-from repro.arch.schedulers import CrosspointScheduler, IterativeScheduler
 from repro.chip.comcobb import ComCoBBChip
 from repro.chip.input_port import InputPort
 from repro.chip.output_port import OutputPort
 from repro.core.buffer import SwitchBuffer
-from repro.core.damq import DamqBuffer
-from repro.core.fifo import FifoBuffer
 from repro.core.linkedlist import SlotListManager
 from repro.core.packet import Packet
-from repro.core.safc import SafcBuffer
-from repro.core.samq import SamqBuffer
-from repro.errors import ConfigurationError
-from repro.switch.arbiter import (
-    BlockedPredicate,
-    CrossbarArbiter,
-    Grant,
-    Scheduler,
-)
+from repro.instrument import Observer, observe, switch_label
+from repro.network.simulator import NetworkConfig, OmegaNetworkSimulator
+from repro.switch.scheduler import Grant, Scheduler
+from repro.telemetry.chrome import write_chrome_trace
 from repro.telemetry.events import DEFAULT_RING_CAPACITY, EventRing, TraceEvent
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import (
+    METRICS_VERSION,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
+from repro.telemetry.vcd import write_vcd
 
-__all__ = [
-    "METRICS_ENV",
-    "TRACE_ENV",
-    "TraceSession",
-    "TracedCrossbarArbiter",
-    "TracedCrosspointBuffer",
-    "TracedCrosspointScheduler",
-    "TracedDamqBuffer",
-    "TracedDamqReservedBuffer",
-    "TracedFifoBuffer",
-    "TracedInputPort",
-    "TracedIterativeScheduler",
-    "TracedOutputPort",
-    "TracedSafcBuffer",
-    "TracedSamqBuffer",
-    "TracedSlotListManager",
-    "metrics_directory",
-    "trace_directory",
-]
-
-#: Environment variable enabling full tracing (events + metrics + file
-#: export).  The value is the export directory; ``""``/``"0"`` disable,
-#: ``"1"`` enables without file export (in-process inspection only).
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable enabling metrics-only mode (no event retention).
-#: Same value convention as :data:`TRACE_ENV`; ignored when full tracing
-#: is also requested.
-METRICS_ENV = "REPRO_METRICS"
+__all__ = ["TraceSession", "config_tag"]
 
 
-def _directory_from(variable: str, env: str | None) -> str | None:
-    """Decode a dir-valued env switch: off, on-without-export, or a dir."""
-    value = os.environ.get(variable, "") if env is None else env
-    if value in ("", "0"):
-        return None
-    return "" if value == "1" else value
+def config_tag(config: NetworkConfig) -> str:
+    """Deterministic file-name stem identifying one config's exports."""
+    load = f"{config.offered_load:g}".replace(".", "p")
+    return (
+        f"{config.buffer_kind.lower()}_{config.protocol}"
+        f"_{config.traffic_kind}_n{config.num_ports}_r{config.radix}"
+        f"_s{config.slots_per_buffer}_load{load}_seed{config.seed}"
+    )
 
 
-def trace_directory(env: str | None = None) -> str | None:
-    """Export dir from ``REPRO_TRACE`` (``""`` = on, no export; ``None`` = off)."""
-    return _directory_from(TRACE_ENV, env)
+@dataclass
+class _BufferMetrics:
+    label: str
+    enqueues: Counter
+    dequeues: Counter
+    occupancy: Histogram
+    free: Gauge
 
 
-def metrics_directory(env: str | None = None) -> str | None:
-    """Export dir from ``REPRO_METRICS`` (same convention)."""
-    return _directory_from(METRICS_ENV, env)
-
-
-class TraceSession:
+class TraceSession(Observer):
     """One run's telemetry sink: event ring + metrics + cycle stamp.
 
     ``capacity=0`` puts the session in metrics-only mode: every emission
     is counted but none retained, so the waveform exporters have nothing
-    to write while the counters stay complete.
+    to write while the counters stay complete.  ``export_dir`` (if set)
+    receives the exported files when an observed simulator's run ends.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_RING_CAPACITY,
         metrics: MetricsRegistry | None = None,
+        export_dir: str | Path | None = None,
     ) -> None:
-        #: Simulated cycle stamp; advanced by the traced simulator (or the
-        #: chip phase methods) before events of that cycle are emitted.
+        #: Simulated cycle stamp; advanced by the observed simulator (or
+        #: the chip ports) before events of that cycle are emitted.
         self.cycle = 0
         self.ring = EventRing(capacity)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._buffers: list[SwitchBuffer] = []
-        self._managers: list["TracedSlotListManager"] = []
-        self._arbiters: list[Scheduler] = []
-
-    # -- recording ---------------------------------------------------------
-
-    def begin_cycle(self, cycle: int) -> None:
-        """Advance the cycle stamp (call once per simulated cycle)."""
-        self.cycle = cycle
+        self.export_dir = Path(export_dir) if export_dir is not None else None
+        self._buffers: dict[SwitchBuffer, _BufferMetrics] = {}
+        self._managers: dict[SlotListManager, tuple[str, Counter]] = {}
+        self._schedulers: dict[
+            Scheduler, tuple[str, list[Counter], list[Counter]]
+        ] = {}
+        # Network-event counters by event label: link transfers (switch
+        # and chip-port labels), flow-control blocks (buffer labels), and
+        # (total, measured) pairs by event kind.
+        self._links: dict[str, Counter] = {}
+        self._blocks: dict[str, Counter] = {}
+        self._totals: dict[str, tuple[Counter, Counter]] = {}
 
     def emit(
         self, kind: str, component: str, port: int, value: int, extra: int = 0
@@ -148,401 +120,146 @@ class TraceSession:
             TraceEvent(self.cycle, kind, component, port, value, extra)
         )
 
-    # -- component adoption ------------------------------------------------
-
-    def adopt_buffer(
-        self, buffer: SwitchBuffer, label: str | None = None
-    ) -> SwitchBuffer:
-        """Install the traced subclass onto a freshly built buffer.
-
-        ``__class__`` reassignment onto a subclass that adds only
-        bookkeeping attributes: the buffer keeps its exact state and the
-        plain classes stay untouched.  DAMQ buffers additionally get
-        their slot manager adopted, so slot alloc/free/retire events
-        carry the same label.
-        """
-        traced_class = _TRACED_BUFFER_CLASSES.get(type(buffer))
-        if traced_class is None:
-            raise ConfigurationError(
-                f"cannot trace buffer of type {type(buffer).__name__}; "
-                f"expected one of "
-                f"{sorted(cls.__name__ for cls in _TRACED_BUFFER_CLASSES)}"
-            )
-        buffer.__class__ = traced_class
-        buffer._tel = self  # type: ignore[attr-defined]
-        buffer._tel_label = label or f"buffer{len(self._buffers)}"  # type: ignore[attr-defined]
-        self._bind_buffer_metrics(buffer)
-        if isinstance(buffer, DamqBuffer):
-            TracedSlotListManager.adopt(
-                buffer._lists, self, buffer._tel_label  # type: ignore[attr-defined]
-            )
-        self._buffers.append(buffer)
-        return buffer
-
-    def _bind_buffer_metrics(self, buffer: SwitchBuffer) -> None:
-        """Cache this buffer's metric objects under its current label."""
-        label = buffer._tel_label  # type: ignore[attr-defined]
-        buffer._tel_enq = self.metrics.counter(  # type: ignore[attr-defined]
-            "buffer_enqueues_total", buffer=label
-        )
-        buffer._tel_deq = self.metrics.counter(  # type: ignore[attr-defined]
-            "buffer_dequeues_total", buffer=label
-        )
-        buffer._tel_occ = self.metrics.histogram(  # type: ignore[attr-defined]
-            "buffer_occupancy", buffer=label
-        )
-        buffer._tel_free = self.metrics.gauge(  # type: ignore[attr-defined]
-            "buffer_free_slots", buffer=label
-        )
-
-    def wrap_factory(
-        self, factory: Callable[[int], SwitchBuffer]
-    ) -> Callable[[int], SwitchBuffer]:
-        """Wrap a buffer factory so every built buffer is traced."""
-
-        def traced_factory(num_outputs: int) -> SwitchBuffer:
-            return self.adopt_buffer(factory(num_outputs))
-
-        return traced_factory
-
-    def set_label(self, buffer: SwitchBuffer, label: str) -> None:
-        """Relabel a buffer (and its slot manager) for reports.
-
-        Only valid before the buffer has seen traffic: the zero-valued
-        metrics registered under the placeholder label are dropped and
-        re-created under the new one, keeping the registry free of
-        stale construction-time entries.
-        """
-        old = buffer._tel_label  # type: ignore[attr-defined]
-        for type_name, name in (
-            ("counter", "buffer_enqueues_total"),
-            ("counter", "buffer_dequeues_total"),
-            ("histogram", "buffer_occupancy"),
-            ("gauge", "buffer_free_slots"),
-        ):
-            self.metrics.drop(type_name, name, buffer=old)
-        buffer._tel_label = label  # type: ignore[attr-defined]
-        self._bind_buffer_metrics(buffer)
-        if isinstance(buffer, DamqBuffer):
-            manager = buffer._lists
-            if isinstance(manager, TracedSlotListManager):
-                manager.relabel(label)
-
-    def adopt_slot_manager(
-        self, manager: SlotListManager, label: str
-    ) -> "TracedSlotListManager":
-        """Trace a standalone slot manager (e.g. the chip model's)."""
-        return TracedSlotListManager.adopt(manager, self, label)
-
-    def adopt_arbiter(self, arbiter: Scheduler, label: str) -> Scheduler:
-        """Install the matching traced subclass onto a live scheduler.
-
-        Works for the paper's :class:`CrossbarArbiter` and for every
-        scheduling discipline in the architecture zoo: the traced
-        subclass is looked up by exact type, same as buffer adoption.
-        """
-        if isinstance(arbiter, _SchedulerTelemetry):
-            return arbiter
-        traced_class = _TRACED_SCHEDULER_CLASSES.get(type(arbiter))
-        if traced_class is None:
-            raise ConfigurationError(
-                f"cannot trace arbiter of type {type(arbiter).__name__}; "
-                f"expected one of "
-                f"{sorted(cls.__name__ for cls in _TRACED_SCHEDULER_CLASSES)}"
-            )
-        arbiter.__class__ = traced_class
-        arbiter._tel = self  # type: ignore[attr-defined]
-        arbiter._tel_label = label  # type: ignore[attr-defined]
-        arbiter._tel_grants = [  # type: ignore[attr-defined]
-            self.metrics.counter("arbiter_grants_total", switch=label, input=i)
-            for i in range(arbiter.num_inputs)
-        ]
-        arbiter._tel_denies = [  # type: ignore[attr-defined]
-            self.metrics.counter("arbiter_denies_total", switch=label, input=i)
-            for i in range(arbiter.num_inputs)
-        ]
-        self._arbiters.append(arbiter)
-        return arbiter
-
     def adopt_chip(self, chip: ComCoBBChip) -> ComCoBBChip:
-        """Instrument a ComCoBB chip: slot managers and both port FSMs.
-
-        The chip drives its own clock (its phase methods receive the
-        cycle), so the traced ports stamp the session's cycle themselves
-        rather than relying on a simulator calling :meth:`begin_cycle`.
-        """
+        """Observe a ComCoBB chip: its slot managers and both port FSMs."""
         for port, buffer in enumerate(chip.buffers):
-            self.adopt_slot_manager(buffer.lists, f"{chip.name}.in{port}")
+            observe(buffer.lists, self, f"{chip.name}.in{port}")
         for input_port in chip.input_ports:
-            if isinstance(input_port, TracedInputPort):
-                continue
-            if type(input_port) is not InputPort:
-                raise ConfigurationError(
-                    f"cannot trace input port of type "
-                    f"{type(input_port).__name__}"
-                )
-            input_port.__class__ = TracedInputPort
-            input_port._tel = self  # type: ignore[attr-defined]
-            input_port._tel_label = input_port.name  # type: ignore[attr-defined]
-            input_port._tel_rx = self.metrics.counter(  # type: ignore[attr-defined]
-                "chip_packets_received_total", port=input_port.name
-            )
-            input_port._tel_seen = input_port.packets_received  # type: ignore[attr-defined]
+            observe(input_port, self, input_port.name)
         for output_port in chip.output_ports:
-            if isinstance(output_port, TracedOutputPort):
-                continue
-            if type(output_port) is not OutputPort:
-                raise ConfigurationError(
-                    f"cannot trace output port of type "
-                    f"{type(output_port).__name__}"
-                )
-            output_port.__class__ = TracedOutputPort
-            output_port._tel = self  # type: ignore[attr-defined]
-            output_port._tel_label = output_port.name  # type: ignore[attr-defined]
-            output_port._tel_tx = self.metrics.counter(  # type: ignore[attr-defined]
-                "chip_packets_sent_total", port=output_port.name
-            )
+            observe(output_port, self, output_port.name)
         return chip
 
+    # -- observer hooks ----------------------------------------------------
 
-class TracedSlotListManager(SlotListManager):
-    """Slot manager emitting alloc/free/retire events.
-
-    Installed over a live :class:`SlotListManager` by :meth:`adopt`; the
-    overrides sit on the same three choke points the sanitizer uses
-    (``allocate``, ``_append_free``, ``retire_slot``), so the datapath
-    operations stay the inherited, hardware-faithful code.
-    """
-
-    # Adoption-time attributes (no __init__ of its own: instances are
-    # created by __class__ reassignment, preserving live state).
-    _tel: TraceSession
-    _tel_label: str
-    _tel_retires: Counter
-
-    @classmethod
-    def adopt(
-        cls,
-        manager: SlotListManager,
-        session: TraceSession,
-        label: str,
-    ) -> "TracedSlotListManager":
-        """Swap a live manager's class and bind its metrics."""
-        if isinstance(manager, cls):
-            manager.relabel(label)
-            return manager
-        if type(manager) is not SlotListManager:
-            raise ConfigurationError(
-                f"cannot trace slot manager of type {type(manager).__name__}"
+    def attach(self, component: Any, label: str) -> None:
+        metrics = self.metrics
+        if isinstance(component, SwitchBuffer):
+            self._buffers[component] = _BufferMetrics(
+                label,
+                metrics.counter("buffer_enqueues_total", buffer=label),
+                metrics.counter("buffer_dequeues_total", buffer=label),
+                metrics.histogram("buffer_occupancy", buffer=label),
+                metrics.gauge("buffer_free_slots", buffer=label),
             )
-        manager.__class__ = cls
-        adopted: "TracedSlotListManager" = manager  # type: ignore[assignment]
-        adopted._tel = session
-        adopted._tel_label = label
-        adopted._tel_retires = session.metrics.counter(
-            "slot_retires_total", buffer=label
-        )
-        session._managers.append(adopted)
-        return adopted
+        elif isinstance(component, SlotListManager):
+            self._managers[component] = (
+                label,
+                metrics.counter("slot_retires_total", buffer=label),
+            )
+        elif isinstance(component, Scheduler):
+            self._schedulers[component] = (
+                label,
+                [
+                    metrics.counter("arbiter_grants_total", switch=label, input=i)
+                    for i in range(component.num_inputs)
+                ],
+                [
+                    metrics.counter("arbiter_denies_total", switch=label, input=i)
+                    for i in range(component.num_inputs)
+                ],
+            )
+        elif isinstance(component, InputPort):
+            self._links[label] = metrics.counter(
+                "chip_packets_received_total", port=label
+            )
+        elif isinstance(component, OutputPort):
+            self._links[label] = metrics.counter(
+                "chip_packets_sent_total", port=label
+            )
+        elif isinstance(component, OmegaNetworkSimulator):
+            self._attach_network(component)
 
-    def relabel(self, label: str) -> None:
-        """Rename this manager (drops the zero-valued old counter)."""
-        if label == self._tel_label:
-            return
-        self._tel.metrics.drop(
-            "counter", "slot_retires_total", buffer=self._tel_label
-        )
-        self._tel_label = label
-        self._tel_retires = self._tel.metrics.counter(
-            "slot_retires_total", buffer=label
-        )
-
-    def allocate(self, list_id: int) -> int:
-        slot = super().allocate(list_id)
-        self._tel.emit("alloc", self._tel_label, list_id, slot, self.free_count)
-        return slot
-
-    def _append_free(self, slot: int) -> None:
-        super()._append_free(slot)
-        self._tel.emit("free", self._tel_label, -1, slot, self.free_count)
-
-    def retire_slot(self, slot: int | None = None) -> int:
-        retired = super().retire_slot(slot)
-        self._tel_retires.inc()
-        self._tel.emit("retire", self._tel_label, -1, retired, self.free_count)
-        return retired
-
-
-class _TraceHooks:
-    """Enqueue/dequeue bookkeeping shared by the four traced buffers.
-
-    A *trailing* mixin (``class TracedX(X, _TraceHooks)``): CPython's
-    ``__class__`` reassignment requires the traced class to have the
-    plain buffer class as leading base, so the overrides live on the
-    concrete subclasses and call these helpers explicitly — the same
-    layout as the sanitizer's ``_PortAccounting``.
-    """
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_enq: Counter
-    _tel_deq: Counter
-    _tel_occ: Histogram
-    _tel_free: Gauge
-
-    def _tel_after_push(self, packet: Packet, destination: int) -> None:
-        self._tel_enq.value += 1
-        occupancy: int = self.occupancy  # type: ignore[attr-defined]
-        self._tel_occ.stats.add(occupancy)
-        free: int = self.effective_capacity - occupancy  # type: ignore[attr-defined]
-        self._tel_free.set(free)
-        self._tel.emit(
-            "enqueue",
-            self._tel_label,
-            destination,
-            self.queue_length(destination),  # type: ignore[attr-defined]
-            free,
+    def _attach_network(self, simulator: OmegaNetworkSimulator) -> None:
+        metrics = self.metrics
+        for kind, name in (
+            ("deliver", "delivered"),
+            ("loss", "lost"),
+            ("drop", "discarded"),
+        ):
+            self._totals[kind] = (
+                metrics.counter(f"packets_{name}_total"),
+                metrics.counter(f"packets_{name}_measured"),
+            )
+        for stage, row in enumerate(simulator.switches):
+            links = metrics.counter("link_transfers_total", stage=stage)
+            for index, switch in enumerate(row):
+                label = switch_label(stage, index)
+                self._links[label] = links
+                blocks = metrics.counter("flow_control_blocks_total", switch=label)
+                for port in range(switch.num_inputs):
+                    self._blocks[f"{label}.in{port}"] = blocks
+        # Deliveries cross the last stage's exit links.
+        self._links["network"] = metrics.counter(
+            "link_transfers_total", stage=simulator.topology.num_stages - 1
         )
 
-    def _tel_after_pop(self, packet: Packet, destination: int) -> None:
-        self._tel_deq.value += 1
-        occupancy: int = self.occupancy  # type: ignore[attr-defined]
-        free: int = self.effective_capacity - occupancy  # type: ignore[attr-defined]
-        self._tel_free.set(free)
-        self._tel.emit(
-            "dequeue",
-            self._tel_label,
-            destination,
-            self.queue_length(destination),  # type: ignore[attr-defined]
-            free,
-        )
+    def on_cycle(self, cycle: int) -> None:
+        self.cycle = cycle
 
-
-class TracedFifoBuffer(FifoBuffer, _TraceHooks):
-    """FIFO buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedSamqBuffer(SamqBuffer, _TraceHooks):
-    """SAMQ buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedSafcBuffer(SafcBuffer, _TraceHooks):
-    """SAFC buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedDamqBuffer(DamqBuffer, _TraceHooks):
-    """DAMQ buffer emitting enqueue/dequeue (and, via its traced slot
-    manager, alloc/free/retire) telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedDamqReservedBuffer(DamqReservedBuffer, _TraceHooks):
-    """Reserved-slot DAMQ buffer emitting enqueue/dequeue (and, via its
-    traced slot manager, alloc/free/retire) telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-class TracedCrosspointBuffer(CrosspointBuffer, _TraceHooks):
-    """Crosspoint-queued buffer emitting enqueue/dequeue telemetry."""
-
-    def push(self, packet: Packet, destination: int) -> None:
-        super().push(packet, destination)
-        self._tel_after_push(packet, destination)
-
-    def pop(self, destination: int) -> Packet:
-        packet = super().pop(destination)
-        self._tel_after_pop(packet, destination)
-        return packet
-
-
-#: Plain class -> traced subclass, for ``__class__`` adoption.
-_TRACED_BUFFER_CLASSES: dict[type[SwitchBuffer], type[SwitchBuffer]] = {
-    FifoBuffer: TracedFifoBuffer,
-    SamqBuffer: TracedSamqBuffer,
-    SafcBuffer: TracedSafcBuffer,
-    DamqBuffer: TracedDamqBuffer,
-    DamqReservedBuffer: TracedDamqReservedBuffer,
-    CrosspointBuffer: TracedCrosspointBuffer,
-}
-
-
-class _SchedulerTelemetry:
-    """Grant/deny bookkeeping shared by the traced schedulers.
-
-    A *deny* is recorded for every input that held at least one buffered
-    packet this cycle but received no grant — the quantity the paper's
-    fairness discussion reasons about.  The scheduling decision itself
-    is entirely the inherited code; telemetry reads the same
-    queue-length rows the scheduler used (buffer state is constant
-    during arbitration, pops happen at execution).
-
-    A trailing mixin, same layout as :class:`_TraceHooks`: the
-    ``arbitrate`` overrides live on the concrete traced classes (they
-    must shadow the plain implementations, which sit earlier in the
-    MRO) and call :meth:`_tel_record` explicitly.
-    """
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_grants: list[Counter]
-    _tel_denies: list[Counter]
-
-    num_inputs: int
-
-    def _tel_record(
-        self, rows: Sequence[list[int]], grants: list[Grant]
+    def on_push(
+        self, buffer: SwitchBuffer, packet: Packet, destination: int
     ) -> None:
-        session = self._tel
-        label = self._tel_label
-        served = [False] * self.num_inputs
+        bound = self._buffers[buffer]
+        bound.enqueues.value += 1
+        occupancy = buffer.occupancy
+        bound.occupancy.stats.add(occupancy)
+        free = buffer.effective_capacity - occupancy
+        bound.free.set(free)
+        self.emit(
+            "enqueue",
+            bound.label,
+            destination,
+            buffer.queue_length(destination),
+            free,
+        )
+
+    def on_pop(
+        self, buffer: SwitchBuffer, packet: Packet, destination: int
+    ) -> None:
+        bound = self._buffers[buffer]
+        bound.dequeues.value += 1
+        free = buffer.effective_capacity - buffer.occupancy
+        bound.free.set(free)
+        self.emit(
+            "dequeue",
+            bound.label,
+            destination,
+            buffer.queue_length(destination),
+            free,
+        )
+
+    def on_slot(
+        self, manager: SlotListManager, op: str, slot: int, list_id: int
+    ) -> None:
+        label, retires = self._managers[manager]
+        if op == "alloc":
+            self.emit("alloc", label, list_id, slot, manager.free_count)
+        elif op == "free":
+            self.emit("free", label, -1, slot, manager.free_count)
+        elif op == "retire":
+            retires.value += 1
+            self.emit("retire", label, -1, slot, manager.free_count)
+
+    def on_grant(
+        self,
+        scheduler: Scheduler,
+        rows: Sequence[list[int]],
+        grants: list[Grant],
+    ) -> None:
+        """Count grants, and a *deny* for every input that held a packet
+        this cycle but received no grant — the quantity the paper's
+        fairness discussion reasons about."""
+        label, granted, denied = self._schedulers[scheduler]
+        served = [False] * scheduler.num_inputs
         for grant in grants:
             served[grant.input_port] = True
-            self._tel_grants[grant.input_port].value += 1
-            session.emit(
-                "grant", label, grant.input_port, grant.output_port,
+            granted[grant.input_port].value += 1
+            self.emit(
+                "grant",
+                label,
+                grant.input_port,
+                grant.output_port,
                 grant.packet.size,
             )
         for input_port, row in enumerate(rows):
@@ -550,109 +267,84 @@ class _SchedulerTelemetry:
                 continue
             longest = max(row)
             if longest > 0:
-                self._tel_denies[input_port].value += 1
-                session.emit("deny", label, input_port, longest)
+                denied[input_port].value += 1
+                self.emit("deny", label, input_port, longest)
 
-
-class TracedCrossbarArbiter(CrossbarArbiter, _SchedulerTelemetry):
-    """Crossbar arbiter emitting grant/deny telemetry."""
-
-    def arbitrate(
+    def on_network(
         self,
-        buffers: Sequence[SwitchBuffer],
-        blocked: BlockedPredicate,
-        lengths: Sequence[list[int]] | None = None,
-    ) -> list[Grant]:
-        rows = (
-            lengths
-            if lengths is not None
-            else [buffer.queue_lengths() for buffer in buffers]
-        )
-        grants = super().arbitrate(buffers, blocked, rows)
-        self._tel_record(rows, grants)
-        return grants
+        kind: str,
+        label: str,
+        port: int,
+        value: int,
+        extra: int = 0,
+        measured: bool = False,
+    ) -> None:
+        if kind in ("link", "deliver"):
+            self._links[label].value += 1
+        if kind in self._totals:
+            total, in_window = self._totals[kind]
+            total.value += 1
+            if measured:
+                in_window.value += 1
+        elif kind == "block":
+            self._blocks[label].value += 1
+        self.emit(kind, label, port, value, extra)
 
+    def on_finish(self, simulator: OmegaNetworkSimulator) -> None:
+        if self.export_dir is not None:
+            self.export(self.export_dir, simulator)
 
-class TracedCrosspointScheduler(CrosspointScheduler, _SchedulerTelemetry):
-    """Per-output crosspoint scheduler emitting grant/deny telemetry."""
+    def on_snapshot(self, state: dict[str, Any]) -> None:
+        state["telemetry"] = self.metrics.snapshot_state()
 
-    def arbitrate(
-        self,
-        buffers: Sequence[SwitchBuffer],
-        blocked: BlockedPredicate,
-        lengths: Sequence[list[int]] | None = None,
-    ) -> list[Grant]:
-        rows = (
-            lengths
-            if lengths is not None
-            else [buffer.queue_lengths() for buffer in buffers]
-        )
-        grants = super().arbitrate(buffers, blocked, rows)
-        self._tel_record(rows, grants)
-        return grants
+    def on_restore(self, state: dict[str, Any]) -> None:
+        saved = state.get("telemetry")
+        if saved is not None:
+            self.metrics.restore_state(saved)
 
+    # -- export ------------------------------------------------------------
 
-class TracedIterativeScheduler(IterativeScheduler, _SchedulerTelemetry):
-    """iSLIP-style iterative scheduler emitting grant/deny telemetry."""
+    def export(
+        self, directory: str | Path, simulator: OmegaNetworkSimulator
+    ) -> list[Path]:
+        """Write the VCD, Chrome trace and metrics files for a run.
 
-    def arbitrate(
-        self,
-        buffers: Sequence[SwitchBuffer],
-        blocked: BlockedPredicate,
-        lengths: Sequence[list[int]] | None = None,
-    ) -> list[Grant]:
-        rows = (
-            lengths
-            if lengths is not None
-            else [buffer.queue_lengths() for buffer in buffers]
-        )
-        grants = super().arbitrate(buffers, blocked, rows)
-        self._tel_record(rows, grants)
-        return grants
-
-
-#: Plain scheduler class -> traced subclass, for ``__class__`` adoption.
-_TRACED_SCHEDULER_CLASSES: dict[type[Scheduler], type[Scheduler]] = {
-    CrossbarArbiter: TracedCrossbarArbiter,
-    CrosspointScheduler: TracedCrosspointScheduler,
-    IterativeScheduler: TracedIterativeScheduler,
-}
-
-
-class TracedInputPort(InputPort):
-    """Chip input port emitting a link event per completed packet.
-
-    The receive FSM increments ``packets_received`` deep inside its state
-    handlers; rather than shadowing those, the traced port diffs the
-    counter once per ``sample`` phase — the single per-cycle entry point.
-    """
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_rx: Counter
-    _tel_seen: int
-
-    def sample(self, cycle: int) -> None:
-        super().sample(cycle)
-        arrived = self.packets_received - self._tel_seen
-        if arrived:
-            self._tel_seen = self.packets_received
-            self._tel.cycle = cycle
-            self._tel_rx.value += arrived
-            self._tel.emit("link", self._tel_label, self.port_id, arrived)
-
-
-class TracedOutputPort(OutputPort):
-    """Chip output port emitting a link event per completed transmission."""
-
-    _tel: TraceSession
-    _tel_label: str
-    _tel_tx: Counter
-
-    def _disconnect(self, cycle: int) -> None:
-        before = self.packets_sent
-        super()._disconnect(cycle)
-        if self.packets_sent != before:
-            self._tel.cycle = cycle
-            self._tel_tx.value += 1
-            self._tel.emit("link", self._tel_label, self.port_id, 1)
+        File names derive deterministically from the simulator's config
+        (:func:`config_tag`); re-exporting the same run overwrites the
+        same files.  In metrics-only mode (ring capacity 0) only the
+        metrics document is written.
+        """
+        config = simulator.config
+        target = Path(directory)
+        target.mkdir(parents=True, exist_ok=True)
+        tag = config_tag(config)
+        written: list[Path] = []
+        events = self.ring.events()
+        if self.ring.capacity > 0:
+            written.append(
+                write_vcd(
+                    events, target / f"{tag}.vcd", cycle_clocks=config.cycle_clocks
+                )
+            )
+            written.append(
+                write_chrome_trace(
+                    events,
+                    target / f"{tag}.trace.json",
+                    cycle_clocks=config.cycle_clocks,
+                )
+            )
+        document = {
+            "format": METRICS_VERSION,
+            "tag": tag,
+            "config": config.to_state(),
+            "cycles": simulator.cycle,
+            "events_emitted": self.ring.emitted,
+            "events_dropped": self.ring.dropped,
+            "metrics": self.metrics.snapshot_state(),
+        }
+        metrics_path = target / f"{tag}.metrics.json"
+        scratch = metrics_path.with_name(f"{metrics_path.name}.tmp{os.getpid()}")
+        scratch.write_text(json.dumps(document))
+        os.replace(scratch, metrics_path)
+        written.append(metrics_path)
+        return written

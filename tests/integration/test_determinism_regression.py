@@ -17,6 +17,8 @@ import json
 
 import pytest
 
+from repro.analysis.sanitizer import HardwareSanitizer
+from repro.instrument import ObservedOmegaNetworkSimulator
 from repro.network.simulator import (
     NetworkConfig,
     OmegaNetworkSimulator,
@@ -24,6 +26,7 @@ from repro.network.simulator import (
     restore_simulator,
 )
 from repro.switch.flow_control import Protocol
+from repro.telemetry import TraceSession
 
 #: Simulation window shared by both pins (cycles).
 WARMUP, MEASURE = 200, 800
@@ -132,7 +135,7 @@ def test_pins_survive_architecture_zoo_registration(name):
 def test_sanitized_run_matches_pins_exactly(name, monkeypatch):
     """REPRO_SANITIZE=1 must not perturb a single bit of the results.
 
-    The sanitizer instruments the buffers via ``__class__`` adoption —
+    The sanitizer observes the buffers via ``__class__`` adoption —
     bookkeeping only, no change to the datapath — so the exact Welford
     state of every meter must match the plain-run pins, and a healthy
     model must produce zero violations.
@@ -140,10 +143,11 @@ def test_sanitized_run_matches_pins_exactly(name, monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     pin = PINNED[name]
     simulator = make_simulator(NetworkConfig(**pin["config"]))
-    assert simulator.sanitizer is not None
+    sanitizer = simulator.observer(HardwareSanitizer)
+    assert sanitizer is not None
     simulator.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     assert checksum(simulator.meters) == pin["expected"]
-    assert simulator.sanitizer.clean, simulator.sanitizer.render()
+    assert sanitizer.clean, sanitizer.render()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -184,22 +188,9 @@ def test_trace_off_by_default_builds_the_plain_class(name, monkeypatch):
     assert type(simulator) is OmegaNetworkSimulator
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_traced_run_matches_pins_exactly(name, monkeypatch):
-    """REPRO_TRACE=1 must not perturb a single bit of the results.
-
-    Tracing observes the datapath's own side effects (it draws nothing
-    from any RNG), so the exact Welford state of every meter must match
-    the plain-run pins — and the per-buffer enqueue/dequeue counters
-    must reconcile with what the network actually moved.
-    """
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.delenv("REPRO_METRICS", raising=False)
-    pin = PINNED[name]
-    simulator = make_simulator(NetworkConfig(**pin["config"]))
-    simulator.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
-    assert checksum(simulator.meters) == pin["expected"]
-    metrics = simulator.session.metrics
+def assert_telemetry_reconciles(simulator):
+    """The traced counters agree exactly with the datapath's accounting."""
+    metrics = simulator.observer(TraceSession).metrics
     assert metrics.value("packets_delivered_measured") == simulator.meters.delivered
     assert metrics.value("packets_delivered_total") == sum(
         sink.received for row in simulator._exit_sinks for sink in row
@@ -213,17 +204,62 @@ def test_traced_run_matches_pins_exactly(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
+def test_traced_run_matches_pins_exactly(name, monkeypatch):
+    """REPRO_TRACE=1 must not perturb a single bit of the results.
+
+    Tracing observes the datapath's own side effects (it draws nothing
+    from any RNG), so the exact Welford state of every meter must match
+    the plain-run pins — and the per-buffer enqueue/dequeue counters
+    must reconcile with what the network actually moved.
+    """
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    monkeypatch.delenv("REPRO_METRICS", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    pin = PINNED[name]
+    simulator = make_simulator(NetworkConfig(**pin["config"]))
+    simulator.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
+    assert checksum(simulator.meters) == pin["expected"]
+    assert_telemetry_reconciles(simulator)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sanitized_traced_run_matches_pins_exactly(name, monkeypatch):
+    """Both rails on one run: pins, a clean report and exact counters.
+
+    The sanitizer and the tracer observe the same components side by
+    side, so the run must still be bit-identical to a plain one while
+    each rail reports exactly what it would alone.
+    """
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    monkeypatch.delenv("REPRO_METRICS", raising=False)
+    pin = PINNED[name]
+    simulator = make_simulator(NetworkConfig(**pin["config"]))
+    assert type(simulator) is ObservedOmegaNetworkSimulator
+    assert [type(o) for o in simulator.observers] == [
+        HardwareSanitizer,
+        TraceSession,
+    ]
+    simulator.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
+    assert checksum(simulator.meters) == pin["expected"]
+    sanitizer = simulator.observer(HardwareSanitizer)
+    assert sanitizer.clean, sanitizer.render()
+    assert_telemetry_reconciles(simulator)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_metrics_only_run_matches_pins_exactly(name, monkeypatch):
     """REPRO_METRICS=1 (counters, no event ring) must also hit the pins."""
     monkeypatch.setenv("REPRO_METRICS", "1")
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     pin = PINNED[name]
     simulator = make_simulator(NetworkConfig(**pin["config"]))
-    assert simulator.session.ring.capacity == 0
+    session = simulator.observer(TraceSession)
+    assert session.ring.capacity == 0
     simulator.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     assert checksum(simulator.meters) == pin["expected"]
-    assert len(simulator.session.ring) == 0  # nothing retained...
-    assert simulator.session.metrics.value("buffer_enqueues_total") > 0
+    assert len(session.ring) == 0  # nothing retained...
+    assert session.metrics.value("buffer_enqueues_total") > 0
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -248,8 +284,8 @@ def test_traced_snapshot_restore_matches_pins_exactly(name, monkeypatch):
     uninterrupted = make_simulator(NetworkConfig(**pin["config"]))
     uninterrupted.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     assert (
-        resumed.session.metrics.snapshot_state()
-        == uninterrupted.session.metrics.snapshot_state()
+        resumed.observer(TraceSession).metrics.snapshot_state()
+        == uninterrupted.observer(TraceSession).metrics.snapshot_state()
     )
 
 
@@ -287,8 +323,9 @@ def test_sanitized_snapshot_restore_matches_pins_exactly(name, monkeypatch):
         simulator.step()
     state = json.loads(json.dumps(simulator.snapshot()))
     resumed = make_simulator(NetworkConfig(**pin["config"]))
-    assert resumed.sanitizer is not None
+    sanitizer = resumed.observer(HardwareSanitizer)
+    assert sanitizer is not None
     resumed.restore(state)
     resumed.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     assert checksum(resumed.meters) == pin["expected"]
-    assert resumed.sanitizer.clean, resumed.sanitizer.render()
+    assert sanitizer.clean, sanitizer.render()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check for the telemetry subsystem.
 
-Four end-to-end properties, checked on a real (short) figure3-style
+Five end-to-end properties, checked on a real (short) figure3-style
 configuration:
 
 1. **Artifacts are valid**: a traced run exports a VCD waveform that the
@@ -13,7 +13,11 @@ configuration:
    datapath's own accounting (sinks, meters, buffered residue).
 3. **Results are unperturbed**: the traced run's meters are bit-identical
    to a plain run of the same config.
-4. **Disabled path is free**: with telemetry off, ``make_simulator``
+4. **Both rails compose**: with ``REPRO_SANITIZE=1`` and ``REPRO_TRACE``
+   set together, ``make_simulator`` builds one observed simulator whose
+   run is still bit-identical, whose counters reconcile exactly, and
+   whose sanitizer report is clean.
+5. **Disabled path is free**: with telemetry off, ``make_simulator``
    returns the exact plain class, and an interleaved min-of-k timing of
    two identical disabled builds stays within 2% of each other —
    demonstrating the off-default adds no measurable overhead (both
@@ -39,13 +43,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis.sanitizer import HardwareSanitizer  # noqa: E402
+from repro.instrument import ObservedOmegaNetworkSimulator  # noqa: E402
 from repro.network.simulator import (  # noqa: E402
     NetworkConfig,
     OmegaNetworkSimulator,
     make_simulator,
 )
 from repro.telemetry import (  # noqa: E402
-    TracedOmegaNetworkSimulator,
+    TraceSession,
     read_vcd,
     render_report,
     validate_chrome_trace,
@@ -76,25 +82,71 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def check_traced_run(export_dir: Path) -> None:
-    """Properties 1-3: valid artifacts, exact reconciliation, no drift."""
-    plain = OmegaNetworkSimulator(CONFIG)
-    plain.run(WARMUP, MEASURE)
-
-    traced = TracedOmegaNetworkSimulator(CONFIG, export_dir=export_dir)
-    traced.run(WARMUP, MEASURE)
-
-    if traced.meters.latency.get_state() != plain.meters.latency.get_state():
-        fail("traced run perturbed the latency statistics")
-    if (traced.meters.delivered, traced.meters.discarded) != (
+def check_unperturbed(
+    observed: OmegaNetworkSimulator, plain: OmegaNetworkSimulator, what: str
+) -> None:
+    """Property 3: an observed run is bit-identical to the plain run."""
+    if observed.meters.latency.get_state() != plain.meters.latency.get_state():
+        fail(f"{what} run perturbed the latency statistics")
+    if (observed.meters.delivered, observed.meters.discarded) != (
         plain.meters.delivered,
         plain.meters.discarded,
     ):
-        fail("traced run perturbed the delivery counters")
+        fail(f"{what} run perturbed the delivery counters")
     print(
-        f"telemetry-smoke: traced run bit-identical to plain "
-        f"(delivered={traced.meters.delivered})"
+        f"telemetry-smoke: {what} run bit-identical to plain "
+        f"(delivered={observed.meters.delivered})"
     )
+
+
+def check_reconciliation(
+    simulator: OmegaNetworkSimulator, session: TraceSession
+) -> None:
+    """Property 2: the traced counters agree with the datapath."""
+    metrics = session.metrics
+    delivered_total = sum(
+        sink.received for row in simulator._exit_sinks for sink in row
+    )
+    checks = [
+        (
+            "delivered_total == sum of sink.received",
+            metrics.value("packets_delivered_total"),
+            delivered_total,
+        ),
+        (
+            "delivered_measured == meters.delivered",
+            metrics.value("packets_delivered_measured"),
+            simulator.meters.delivered,
+        ),
+        (
+            "discarded_measured == meters.discarded",
+            metrics.value("packets_discarded_measured"),
+            simulator.meters.discarded,
+        ),
+        (
+            "enqueues - dequeues == packets still buffered",
+            metrics.value("buffer_enqueues_total")
+            - metrics.value("buffer_dequeues_total"),
+            simulator.total_buffered_packets,
+        ),
+        (
+            "arbiter grants == buffer dequeues",
+            metrics.value("arbiter_grants_total"),
+            metrics.value("buffer_dequeues_total"),
+        ),
+    ]
+    for description, actual, expected in checks:
+        if actual != expected:
+            fail(f"{description}: {actual} != {expected}")
+    print(f"telemetry-smoke: {len(checks)} counter reconciliations exact")
+
+
+def check_traced_run(export_dir: Path, plain: OmegaNetworkSimulator) -> None:
+    """Properties 1-3: valid artifacts, exact reconciliation, no drift."""
+    session = TraceSession(export_dir=export_dir)
+    traced = ObservedOmegaNetworkSimulator(CONFIG, [session])
+    traced.run(WARMUP, MEASURE)
+    check_unperturbed(traced, plain, "traced")
 
     vcd_info = read_vcd(next(export_dir.glob("*.vcd")))
     if not vcd_info["signals"] or not vcd_info["changes"]:
@@ -113,48 +165,35 @@ def check_traced_run(export_dir: Path) -> None:
         f"counters, {counts['instants']} instants)"
     )
 
-    metrics = traced.session.metrics
-    delivered_total = sum(
-        sink.received for row in traced._exit_sinks for sink in row
-    )
-    checks = [
-        (
-            "delivered_total == sum of sink.received",
-            metrics.value("packets_delivered_total"),
-            delivered_total,
-        ),
-        (
-            "delivered_measured == meters.delivered",
-            metrics.value("packets_delivered_measured"),
-            traced.meters.delivered,
-        ),
-        (
-            "discarded_measured == meters.discarded",
-            metrics.value("packets_discarded_measured"),
-            traced.meters.discarded,
-        ),
-        (
-            "enqueues - dequeues == packets still buffered",
-            metrics.value("buffer_enqueues_total")
-            - metrics.value("buffer_dequeues_total"),
-            traced.total_buffered_packets,
-        ),
-        (
-            "arbiter grants == buffer dequeues",
-            metrics.value("arbiter_grants_total"),
-            metrics.value("buffer_dequeues_total"),
-        ),
-    ]
-    for description, actual, expected in checks:
-        if actual != expected:
-            fail(f"{description}: {actual} != {expected}")
-    print(f"telemetry-smoke: {len(checks)} counter reconciliations exact")
+    check_reconciliation(traced, session)
 
     registry, info = merge_metrics_documents(metrics_files(export_dir))
     report = render_report(registry, info)
     if "arbitration fairness" not in report or "hot queues" not in report:
         fail("rendered report is missing expected sections")
     print("telemetry-smoke: report renders from the exported document")
+
+
+def check_combined_run(plain: OmegaNetworkSimulator) -> None:
+    """Property 4: sanitizer and tracer on one run via the environment."""
+    os.environ["REPRO_SANITIZE"] = "1"
+    os.environ["REPRO_TRACE"] = "1"
+    os.environ.pop("REPRO_METRICS", None)
+    try:
+        combined = make_simulator(CONFIG)
+    finally:
+        for variable in ("REPRO_SANITIZE", "REPRO_TRACE"):
+            os.environ.pop(variable, None)
+    sanitizer = combined.observer(HardwareSanitizer)
+    session = combined.observer(TraceSession)
+    if sanitizer is None or session is None:
+        fail(f"combined build lacks a rail: {combined.observers}")
+    combined.run(WARMUP, MEASURE)
+    check_unperturbed(combined, plain, "sanitized+traced")
+    check_reconciliation(combined, session)
+    if not sanitizer.clean:
+        fail(f"combined run is not sanitizer-clean:\n{sanitizer.render()}")
+    print(f"telemetry-smoke: {sanitizer.render()}")
 
 
 def _min_of_k_interleaved(runs: int = 3) -> tuple[float, float]:
@@ -180,7 +219,7 @@ def _min_of_k_interleaved(runs: int = 3) -> tuple[float, float]:
 
 
 def check_disabled_path() -> None:
-    """Property 4: telemetry off means the plain class and no overhead."""
+    """Property 5: telemetry off means the plain class and no overhead."""
     for variable in ("REPRO_TRACE", "REPRO_METRICS", "REPRO_SANITIZE"):
         os.environ.pop(variable, None)
     simulator = make_simulator(CONFIG)
@@ -212,8 +251,11 @@ def check_disabled_path() -> None:
 
 
 def main() -> int:
+    plain = OmegaNetworkSimulator(CONFIG)
+    plain.run(WARMUP, MEASURE)
     with tempfile.TemporaryDirectory(prefix="telemetry_smoke_") as scratch:
-        check_traced_run(Path(scratch))
+        check_traced_run(Path(scratch), plain)
+    check_combined_run(plain)
     check_disabled_path()
     print("telemetry-smoke: OK")
     return 0

@@ -10,23 +10,20 @@ that clean runs stay clean.
 
 import pytest
 
-from repro.analysis.sanitizer import (
-    HardwareSanitizer,
-    SanitizedSlotListManager,
-    sanitize_enabled,
-)
+from repro.analysis.sanitizer import HardwareSanitizer
 from repro.core.damq import DamqBuffer
 from repro.core.fifo import FifoBuffer
 from repro.core.linkedlist import NO_SLOT, SlotListManager
 from repro.core.packet import Packet
 from repro.core.safc import SafcBuffer
 from repro.errors import ConfigurationError, SanitizerError
+from repro.instrument import env_instrumentation, observe
 
 
 def make_manager(num_slots=8, num_lists=4):
     sanitizer = HardwareSanitizer()
     manager = SlotListManager(num_slots=num_slots, num_lists=num_lists)
-    adopted = sanitizer.adopt_slot_manager(manager, "bufA")
+    adopted = observe(manager, sanitizer, "bufA")
     return sanitizer, adopted
 
 
@@ -42,9 +39,9 @@ class TestAdoption:
         first = manager.allocate(0)
         second = manager.allocate(1)
         sanitizer = HardwareSanitizer()
-        adopted = sanitizer.adopt_slot_manager(manager, "bufA")
+        adopted = observe(manager, sanitizer, "bufA")
         assert adopted is manager
-        assert isinstance(manager, SanitizedSlotListManager)
+        assert manager._observers == [sanitizer]
         assert manager.slots(0) == [first]
         assert manager.slots(1) == [second]
         assert manager.free_count == 6
@@ -54,7 +51,7 @@ class TestAdoption:
     def test_normal_traffic_is_clean(self):
         sanitizer, manager = make_manager()
         for cycle in range(50):
-            sanitizer.begin_cycle(cycle)
+            sanitizer.on_cycle(cycle)
             slot = manager.allocate(cycle % 4)
             released = manager.release_head(cycle % 4)
             assert released == slot
@@ -71,23 +68,32 @@ class TestAdoption:
 
     def test_double_adoption_is_idempotent(self):
         sanitizer, manager = make_manager()
-        again = sanitizer.adopt_slot_manager(manager, "renamed")
+        again = observe(manager, sanitizer, "renamed")
         assert again is manager
-        assert len(sanitizer._managers) == 1
+        assert len(sanitizer._slots) == 1
 
-    def test_foreign_subclass_rejected(self):
+    def test_foreign_subclass_is_observed(self):
         class Custom(SlotListManager):
             pass
 
         sanitizer = HardwareSanitizer()
-        with pytest.raises(ConfigurationError):
-            sanitizer.adopt_slot_manager(Custom(4, 2), "bad")
+        manager = observe(Custom(4, 2), sanitizer, "custom")
+        assert isinstance(manager, Custom)
+        assert manager._observers == [sanitizer]
+        slot = manager.allocate(0)
+        manager.release_head(0)
+        manager._append_free(slot)
+        assert [v.kind for v in sanitizer.violations] == ["double-free"]
+
+    def test_non_protocol_object_rejected(self):
+        with pytest.raises(ConfigurationError, match="cannot observe"):
+            observe(object(), HardwareSanitizer(), "bad")
 
 
 class TestFreeListCorruption:
     def test_double_free_is_reported(self):
         sanitizer, manager = make_manager()
-        sanitizer.begin_cycle(7)
+        sanitizer.on_cycle(7)
         slot = manager.allocate(0)
         manager.release_head(0)
         # The controller frees the same slot twice: the second append
@@ -101,9 +107,28 @@ class TestFreeListCorruption:
         assert violation.cycle == 7
         assert any("free" in entry for entry in violation.trace)
 
+    def test_double_free_reaches_both_rails(self):
+        from repro.telemetry import TraceSession
+
+        sanitizer, manager = make_manager()
+        session = TraceSession()
+        observe(manager, session, "ignored")  # the first label sticks
+        assert manager._observers == [sanitizer, session]
+        sanitizer.on_cycle(5)
+        session.on_cycle(5)
+        slot = manager.allocate(0)
+        manager.release_head(0)
+        manager._append_free(slot)
+        assert [v.kind for v in sanitizer.violations] == ["double-free"]
+        frees = [event for event in session.ring if event.kind == "free"]
+        assert [(e.cycle, e.component, e.value) for e in frees] == [
+            (5, "bufA", slot),
+            (5, "bufA", slot),
+        ]
+
     def test_use_after_free_is_reported(self):
         sanitizer, manager = make_manager()
-        sanitizer.begin_cycle(3)
+        sanitizer.on_cycle(3)
         held = manager.allocate(0)
         # Corrupt the free-list head register to point at the in-use slot:
         # the next allocation hands out storage that still belongs to the
@@ -177,8 +202,8 @@ class TestPointerScan:
 class TestPortBudget:
     def test_two_pushes_in_one_cycle_overrun_the_write_port(self):
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(FifoBuffer(4, 4), label="switch0.in0")
-        sanitizer.begin_cycle(11)
+        buffer = observe(FifoBuffer(4, 4), sanitizer, "switch0.in0")
+        sanitizer.on_cycle(11)
         buffer.push(packet(0, destination=1), 1)
         buffer.push(packet(1, destination=2), 2)
         assert not sanitizer.clean
@@ -190,20 +215,20 @@ class TestPortBudget:
 
     def test_one_push_per_cycle_is_clean(self):
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(FifoBuffer(4, 4), label="b")
+        buffer = observe(FifoBuffer(4, 4), sanitizer, "b")
         for cycle in range(4):
-            sanitizer.begin_cycle(cycle)
+            sanitizer.on_cycle(cycle)
             buffer.push(packet(cycle, destination=cycle), cycle)
         assert sanitizer.clean
 
     def test_two_pops_in_one_cycle_overrun_a_single_read_port(self):
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(DamqBuffer(8, 4), label="damq0")
-        sanitizer.begin_cycle(0)
+        buffer = observe(DamqBuffer(8, 4), sanitizer, "damq0")
+        sanitizer.on_cycle(0)
         buffer.push(packet(0, destination=0), 0)
-        sanitizer.begin_cycle(1)
+        sanitizer.on_cycle(1)
         buffer.push(packet(1, destination=1), 1)
-        sanitizer.begin_cycle(2)
+        sanitizer.on_cycle(2)
         buffer.pop(0)
         buffer.pop(1)
         assert not sanitizer.clean
@@ -214,19 +239,19 @@ class TestPortBudget:
 
     def test_safc_may_pop_once_per_output(self):
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(SafcBuffer(8, 4), label="safc0")
+        buffer = observe(SafcBuffer(8, 4), sanitizer, "safc0")
         for cycle in range(4):
-            sanitizer.begin_cycle(cycle)
+            sanitizer.on_cycle(cycle)
             buffer.push(packet(cycle, destination=cycle), cycle)
-        sanitizer.begin_cycle(10)
+        sanitizer.on_cycle(10)
         for output in range(4):
             buffer.pop(output)
         assert sanitizer.clean
 
     def test_damq_buffer_adoption_also_sanitizes_its_slot_manager(self):
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(DamqBuffer(8, 4), label="damq0")
-        assert isinstance(buffer._lists, SanitizedSlotListManager)
+        buffer = observe(DamqBuffer(8, 4), sanitizer, "damq0")
+        assert sanitizer in buffer._lists._observers
         buffer._lists._next[5] = 5  # free-list self-loop
         sanitizer.scan()
         assert any(
@@ -240,12 +265,12 @@ class TestArchZooAdoption:
         from repro.arch import DamqReservedBuffer
 
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(
-            DamqReservedBuffer(8, 4, reserved=1), label="rsv0"
+        buffer = observe(
+            DamqReservedBuffer(8, 4, reserved=1), sanitizer, "rsv0"
         )
-        assert isinstance(buffer._lists, SanitizedSlotListManager)
+        assert sanitizer in buffer._lists._observers
         for cycle in range(4):
-            sanitizer.begin_cycle(cycle)
+            sanitizer.on_cycle(cycle)
             buffer.push(packet(cycle, destination=cycle), cycle)
         sanitizer.scan()
         assert sanitizer.clean
@@ -254,19 +279,19 @@ class TestArchZooAdoption:
         from repro.arch import CrosspointBuffer
 
         sanitizer = HardwareSanitizer()
-        buffer = sanitizer.adopt_buffer(CrosspointBuffer(8, 4), label="cq0")
+        buffer = observe(CrosspointBuffer(8, 4), sanitizer, "cq0")
         for cycle in range(4):
-            sanitizer.begin_cycle(cycle)
+            sanitizer.on_cycle(cycle)
             buffer.push(packet(cycle, destination=cycle), cycle)
         # Every crosspoint has its own read port: four pops in one cycle
         # are legal...
-        sanitizer.begin_cycle(10)
+        sanitizer.on_cycle(10)
         for output in range(4):
             buffer.pop(output)
         assert sanitizer.clean
         # ...but the pool still has one write port, so refilling all four
         # crosspoints in a single cycle is an overrun.
-        sanitizer.begin_cycle(20)
+        sanitizer.on_cycle(20)
         for output in range(4):
             buffer.push(packet(10 + output, destination=output), output)
         assert not sanitizer.clean
@@ -304,7 +329,11 @@ class TestReporting:
         assert not sanitizer.clean
 
     def test_sanitize_enabled_parses_env_values(self):
-        assert not sanitize_enabled(env="")
-        assert not sanitize_enabled(env="0")
-        assert sanitize_enabled(env="1")
-        assert sanitize_enabled(env="yes")
+        def sanitize(value):
+            return env_instrumentation({"REPRO_SANITIZE": value}).sanitize
+
+        assert not env_instrumentation({}).sanitize
+        assert not sanitize("")
+        assert not sanitize("0")
+        assert sanitize("1")
+        assert sanitize("yes")

@@ -13,13 +13,13 @@ import pytest
 
 from repro.chip import ChipNetwork
 from repro.errors import ConfigurationError
+from repro.instrument import ObservedOmegaNetworkSimulator, observe
 from repro.network.simulator import NetworkConfig
 from repro.telemetry import (
     EventRing,
     MetricsRegistry,
     TraceEvent,
     TraceSession,
-    TracedOmegaNetworkSimulator,
     config_tag,
     jain_fairness,
     read_vcd,
@@ -233,12 +233,12 @@ class TestTracedSimulator:
 
     @pytest.fixture(scope="class")
     def traced(self):
-        simulator = TracedOmegaNetworkSimulator(self.CONFIG)
+        simulator = ObservedOmegaNetworkSimulator(self.CONFIG, [TraceSession()])
         simulator.run(warmup_cycles=0, measure_cycles=200)
         return simulator
 
     def test_counters_reconcile_with_datapath(self, traced):
-        metrics = traced.session.metrics
+        metrics = traced.observer(TraceSession).metrics
         delivered_total = sum(
             sink.received for row in traced._exit_sinks for sink in row
         )
@@ -254,7 +254,7 @@ class TestTracedSimulator:
         assert metrics.value("link_transfers_total") >= delivered_total
 
     def test_last_stage_dequeues_equal_deliveries(self, traced):
-        metrics = traced.session.metrics
+        metrics = traced.observer(TraceSession).metrics
         last = traced.topology.num_stages - 1
         last_stage_dequeues = sum(
             counter.value
@@ -264,28 +264,28 @@ class TestTracedSimulator:
         assert last_stage_dequeues == metrics.value("packets_delivered_total")
 
     def test_events_are_cycle_ordered(self, traced):
-        cycles = [event.cycle for event in traced.session.ring]
+        cycles = [event.cycle for event in traced.observer(TraceSession).ring]
         assert cycles == sorted(cycles)
 
     def test_block_events_pair_with_unblocks(self, traced):
         blocks = sum(
-            1 for event in traced.session.ring if event.kind == "block"
+            1 for event in traced.observer(TraceSession).ring if event.kind == "block"
         )
         unblocks = sum(
-            1 for event in traced.session.ring if event.kind == "unblock"
+            1 for event in traced.observer(TraceSession).ring if event.kind == "unblock"
         )
-        assert abs(blocks - unblocks) <= traced.session.metrics.value(
+        assert abs(blocks - unblocks) <= traced.observer(TraceSession).metrics.value(
             "flow_control_blocks_total"
         )
 
     def test_export_report_round_trip(self, traced, tmp_path):
-        traced.export(tmp_path)
+        traced.observer(TraceSession).export(tmp_path, traced)
         registry, info = merge_metrics_documents(metrics_files(tmp_path))
         text = render_report(registry, info)
         assert config_tag(self.CONFIG) in text
         assert "arbitration fairness" in text
         assert registry.snapshot_state() == (
-            traced.session.metrics.snapshot_state()
+            traced.observer(TraceSession).metrics.snapshot_state()
         )
 
     def test_config_tag_is_filesystem_safe(self):
@@ -296,22 +296,24 @@ class TestTracedSimulator:
 
 class TestMetricsOnlyMode:
     def test_ring_empty_but_counters_complete(self):
-        simulator = TracedOmegaNetworkSimulator(
+        session = TraceSession(capacity=0)
+        simulator = ObservedOmegaNetworkSimulator(
             NetworkConfig(num_ports=16, radix=4, offered_load=0.5, seed=3),
-            session=TraceSession(capacity=0),
+            [session],
         )
         simulator.run(warmup_cycles=0, measure_cycles=100)
-        assert len(simulator.session.ring) == 0
-        assert simulator.session.ring.emitted > 0
-        assert simulator.session.metrics.value("buffer_enqueues_total") > 0
+        assert len(session.ring) == 0
+        assert session.ring.emitted > 0
+        assert session.metrics.value("buffer_enqueues_total") > 0
 
     def test_export_writes_only_the_metrics_document(self, tmp_path):
-        simulator = TracedOmegaNetworkSimulator(
+        session = TraceSession(capacity=0)
+        simulator = ObservedOmegaNetworkSimulator(
             NetworkConfig(num_ports=16, radix=4, offered_load=0.5, seed=3),
-            session=TraceSession(capacity=0),
+            [session],
         )
         simulator.run(warmup_cycles=0, measure_cycles=50)
-        written = simulator.export(tmp_path)
+        written = session.export(tmp_path, simulator)
         assert [path.name.endswith(".metrics.json") for path in written] == [
             True
         ]
@@ -358,22 +360,18 @@ class TestArchZooTracing:
             CrosspointScheduler,
             IterativeScheduler,
         )
-        from repro.telemetry.session import (
-            TracedCrosspointScheduler,
-            TracedIterativeScheduler,
-        )
 
         session = TraceSession()
-        lqf = session.adopt_arbiter(CrosspointScheduler(2, 2), "sw0")
-        islip = session.adopt_arbiter(
-            IterativeScheduler(2, 2, iterations=2), "sw1"
-        )
-        assert isinstance(lqf, TracedCrosspointScheduler)
-        assert isinstance(islip, TracedIterativeScheduler)
-        # Re-adoption is a no-op on the same live object.
-        assert session.adopt_arbiter(lqf, "sw0") is lqf
+        lqf = observe(CrosspointScheduler(2, 2), session, "sw0")
+        islip = observe(IterativeScheduler(2, 2, iterations=2), session, "sw1")
+        assert isinstance(lqf, CrosspointScheduler)
+        assert lqf._observers == [session]
+        assert islip._observers == [session]
+        # Re-observation is a no-op on the same live object.
+        assert observe(lqf, session, "sw0") is lqf
+        assert lqf._observers == [session]
 
-    def test_unknown_scheduler_subclass_rejected(self):
+    def test_foreign_scheduler_subclass_is_observed(self):
         from repro.switch.scheduler import Scheduler
 
         class Custom(Scheduler):
@@ -395,8 +393,14 @@ class TestArchZooTracing:
                 pass
 
         session = TraceSession()
-        with pytest.raises(ConfigurationError, match="cannot trace arbiter"):
-            session.adopt_arbiter(Custom(), "bad")
+        custom = observe(Custom(), session, "custom")
+        assert custom._observers == [session]
+        assert custom.arbitrate([], lambda i, o, p: False, [[1], [0]]) == []
+        assert session.metrics.value("arbiter_denies_total") == 1
+
+    def test_non_protocol_object_rejected(self):
+        with pytest.raises(ConfigurationError, match="cannot observe"):
+            observe({"not": "a component"}, TraceSession(), "bad")
 
     def test_traced_scheduler_records_grants_and_denies(self):
         from repro.arch.schedulers import CrosspointScheduler
@@ -404,7 +408,7 @@ class TestArchZooTracing:
         from repro.core.registry import make_buffer
 
         session = TraceSession()
-        scheduler = session.adopt_arbiter(CrosspointScheduler(2, 2), "sw0")
+        scheduler = observe(CrosspointScheduler(2, 2), session, "sw0")
         buffers = [make_buffer("CQ", 8, 2), make_buffer("CQ", 8, 2)]
         for input_port, buffer in enumerate(buffers):
             buffer.push(
@@ -421,21 +425,14 @@ class TestArchZooTracing:
     def test_arch_buffers_are_traceable(self):
         from repro.arch import CrosspointBuffer, DamqReservedBuffer
         from repro.core.packet import Packet
-        from repro.telemetry.session import (
-            TracedCrosspointBuffer,
-            TracedDamqReservedBuffer,
-            TracedSlotListManager,
-        )
 
         session = TraceSession()
-        reserved = session.adopt_buffer(
-            DamqReservedBuffer(8, 4, reserved=1), "rsv0"
-        )
-        crosspoint = session.adopt_buffer(CrosspointBuffer(8, 4), "cq0")
-        assert isinstance(reserved, TracedDamqReservedBuffer)
-        assert isinstance(crosspoint, TracedCrosspointBuffer)
+        reserved = observe(DamqReservedBuffer(8, 4, reserved=1), session, "rsv0")
+        crosspoint = observe(CrosspointBuffer(8, 4), session, "cq0")
+        assert reserved._observers == [session]
+        assert crosspoint._observers == [session]
         # The reserved DAMQ inherits the slot-manager adoption path.
-        assert isinstance(reserved._lists, TracedSlotListManager)
+        assert reserved._lists._observers == [session]
         crosspoint.push(Packet(packet_id=0, source=0, destination=2), 2)
         assert crosspoint.pop(2).packet_id == 0
         assert session.metrics.value("buffer_enqueues_total") == 1
