@@ -46,11 +46,9 @@ class CacheContext:
         Directory for per-task checkpoint files.
     dispatcher:
         Optional work executor ``(fn, items) -> results`` that replaces
-        the mapper's own process pool.  The simulation service installs
-        its supervised worker pool here so that every grid point an
-        experiment fans out is sharded across supervised workers —
-        with heartbeats, deadlines and bounded retries — instead of an
-        anonymous ``ProcessPoolExecutor``.
+        the mapper's own per-call pool.  The simulation service installs
+        its long-lived supervised pool here so that one set of workers
+        serves the grid points of all its concurrent jobs.
     backend:
         Forced simulation backend (``"reference"``/``"numpy"``) applied
         to every grid the experiment fans out, or ``None`` to honour

@@ -79,10 +79,10 @@ def run_experiment(
     mid-run instead of restarting.  Neither option changes the results
     in any bit.
 
-    ``dispatcher`` replaces the mapper's own process pool with an
+    ``dispatcher`` replaces the mapper's own per-call pool with an
     external executor ``(fn, items) -> results`` — the simulation
-    service passes its supervised worker pool here so every grid point
-    runs under heartbeat monitoring and bounded, backed-off retries.
+    service passes its long-lived supervised pool here so all its
+    concurrent jobs share one set of workers.
 
     ``backend`` forces a simulation backend for every grid the
     experiment fans out (``"reference"`` or ``"numpy"``); ``None``

@@ -1,63 +1,55 @@
-"""Process-pool map over independent simulation runs, with memoization.
+"""Supervised multi-process map over independent simulation runs, memoized.
 
 Every cell of the paper's tables is one :class:`NetworkConfig` simulated
 in isolation; all randomness derives from ``config.seed`` through named
 substreams, so a run's result does not depend on which process executes
 it or in what order.  ``parallel_simulate`` exploits that: it fans a list
-of configs over a :class:`~concurrent.futures.ProcessPoolExecutor` and
-returns results in input order, byte-identical to the serial loop.
+of configs over worker processes and returns results in input order,
+byte-identical to the serial loop.
 
 The same purity makes the work *memoizable*.  When an experiment runs
 under an active :mod:`repro.cache` context, :func:`parallel_map` keys
 each unit of work by its canonical payload and the source-tree
 fingerprint, serves hits straight from the content-addressed store, and
-dispatches only the misses to the pool — a warm re-run of an unchanged
-suite performs zero simulations.
+executes only the misses — a warm re-run of an unchanged suite performs
+zero simulations.
 
-``jobs=1`` (the default everywhere) bypasses the pool entirely — the
-serial path runs the exact same ``simulate`` calls in the parent process,
-which keeps single-job behaviour free of multiprocessing overhead and
-makes the serial/parallel equivalence trivial to test.
+``jobs=1`` (the default everywhere) runs the exact same ``simulate``
+calls serially in the parent process, free of multiprocessing overhead.
+``jobs > 1`` runs them on a
+:class:`~repro.service.supervisor.SupervisedPool` — the repo's one
+worker pool, imported only on that path.  A worker that dies (segfault,
+OOM kill, ``os._exit``) is retried under
+:data:`~repro.service.backoff.TASK_RETRY`: a checkpointed task resumes
+from the dead worker's last on-disk checkpoint, an uncheckpointed one
+reruns from cycle 0 (safe, since every task is a pure function of its
+seeded config).  When the budget runs out the pool raises
+:class:`~repro.errors.WorkerFailedError` naming the task, its attempt
+count and its checkpoint.
 
-A worker that dies (segfault, OOM kill, ``os._exit``) surfaces as a
-:class:`~repro.errors.WorkerFailedError` rather than a hang or a raw
-``BrokenProcessPool`` — unless the active context has checkpointing
-configured, in which case the still-pending tasks are retried in a fresh
-pool (after a deterministic-jitter backoff, budget bounded by
-:data:`RESTART_POLICY`) and each replacement worker resumes its
-simulation from the dead worker's last on-disk checkpoint instead of
-starting over.  When the budget runs out the error names the task, its
-attempt count and the checkpoint a manual retry could resume from.
-
-A service-grade alternative exists for the pool itself: when the active
-:class:`~repro.cache.runtime.CacheContext` carries a ``dispatcher``, all
-execution is delegated to it — :mod:`repro.service` installs its
-supervised worker pool this way, so the same experiment code runs under
-heartbeat monitoring and per-task deadlines without changing here.
+When the active :class:`~repro.cache.runtime.CacheContext` carries a
+``dispatcher``, execution is delegated to it instead: the simulation
+service installs its long-lived supervised pool this way, shared by all
+concurrent jobs.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.cache import runtime
-from repro.cache.keys import cache_key, canonical_json
+from repro.cache.keys import cache_key
 from repro.utils.digest import digest_json
-from repro.errors import ConfigurationError, WorkerFailedError
-from repro.utils.backoff import BackoffPolicy
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.network.metrics import SimulationResult
     from repro.network.simulator import NetworkConfig
 
 __all__ = [
-    "RESTART_POLICY",
     "parallel_map",
     "parallel_simulate",
     "resolve_jobs",
@@ -70,16 +62,6 @@ __all__ = [
 #: simulated-cycles-per-second).  Cache hits perform no simulation and
 #: are not counted.
 _cycles_simulated = 0
-
-#: Restart budget and delays for pool recovery after a worker death.
-#: Shared shape with :mod:`repro.service` (which uses its own seconds-
-#: tuned instance): exponential with deterministic jitter so several
-#: resuming pools do not stampede the disk in lockstep.  ``max_attempts``
-#: counts attempts per task: the first run plus two pool restarts —
-#: matching the historical ``_POOL_RETRIES = 2``.
-RESTART_POLICY = BackoffPolicy(
-    base=0.05, factor=2.0, cap_multiple=8.0, max_attempts=3, jitter=0.5
-)
 
 
 def simulated_cycles() -> int:
@@ -102,115 +84,37 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _task_checkpoint(item: Any) -> str | None:
-    """The checkpoint path a task item carries, when it carries one.
+def _cycle_counter(cycles_per_run: int) -> Callable[[int], None]:
+    """An ``on_executed`` hook adding ``cycles_per_run`` per executed run."""
 
-    :func:`parallel_simulate` encodes checkpointed work as a 5-tuple
-    ending in the checkpoint path; anything else is uncheckpointed.
-    """
-    if isinstance(item, tuple) and len(item) == 5 and isinstance(item[4], str):
-        return item[4]
-    return None
+    def count(executed: int) -> None:
+        global _cycles_simulated
+        _cycles_simulated += cycles_per_run * executed
+
+    return count
 
 
-def _dispatch(
-    fn: Callable[[Any], Any],
+def _memoized(
+    execute: Callable[[list[Any]], list[Any]],
     items: list[Any],
-    jobs: int,
-    resumable: bool,
+    codec: str | None,
+    payloads: Sequence[Any] | None,
+    on_executed: Callable[[int], None] | None,
 ) -> list[Any]:
-    """Execute every item, in input order, with bounded pool restarts.
+    """``execute(items)``, with hits served from the active cache.
 
-    When ``resumable`` (the active context has checkpointing configured),
-    a worker death starts a fresh pool after a :data:`RESTART_POLICY`
-    backoff; completed results are kept and only the still-pending items
-    are resubmitted (their workers resume from on-disk checkpoints when
-    the tasks carry them).  A task that exhausts the policy's attempt
-    budget — or any death when ``resumable`` is false, preserving the
-    uncached fail-fast behaviour — raises :class:`WorkerFailedError`
-    naming the task, its attempt count and its last checkpoint.
+    Without an active cache (or without a ``codec``) every item is
+    executed.  Otherwise each item is keyed by its entry of ``payloads``
+    (defaulting to the item itself), only the misses reach ``execute``
+    — one call, in input order — and their results are stored.
+    ``on_executed`` receives the number of items actually executed.
     """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    results: list[Any] = [None] * len(items)
-    pending = list(range(len(items)))
-    attempts = dict.fromkeys(pending, 0)
-    while True:
-        for index in pending:
-            attempts[index] += 1
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {pool.submit(fn, items[i]): i for i in pending}
-                for future in as_completed(futures):
-                    index = futures[future]
-                    results[index] = future.result()
-                    pending.remove(index)
-            return results
-        except BrokenProcessPool as exc:
-            # Every still-pending task was (or may have been) in flight
-            # on the dead pool; all of them burn one attempt.
-            budget = RESTART_POLICY.max_attempts if resumable else 1
-            worst = max(pending, key=lambda i: attempts[i])
-            if attempts[worst] >= budget:
-                checkpoint = _task_checkpoint(items[worst])
-                detail = (
-                    f"resumable from checkpoint {checkpoint}"
-                    if checkpoint is not None
-                    else "rerun with jobs=1 to debug in-process"
-                )
-                raise WorkerFailedError(
-                    f"simulation task {worst} lost its worker process "
-                    f"{attempts[worst]} time(s) (crashed or killed); {detail}",
-                    task_id=worst,
-                    attempts=attempts[worst],
-                    checkpoint=checkpoint,
-                ) from exc
-            time.sleep(RESTART_POLICY.delay(attempts[worst], key="pool"))
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    jobs: int | None = 1,
-    *,
-    codec: str | None = None,
-    payloads: Sequence[Any] | None = None,
-    on_executed: Callable[[int], None] | None = None,
-) -> list[Any]:
-    """``[fn(item) for item in items]``, memoized and optionally pooled.
-
-    ``fn`` and every item must be picklable (``fn`` defined at module top
-    level).  Results come back in input order.  Exceptions raised *inside*
-    a worker propagate unchanged; a worker process that dies outright is
-    reported as :class:`WorkerFailedError` (or retried with backoff, when
-    the active cache context has checkpointing configured).  A context
-    carrying a ``dispatcher`` delegates all execution — pooling, retries
-    and supervision included — to it.
-
-    ``codec`` opts the call into the result cache: when a
-    :mod:`repro.cache` context is active, each unit of work is keyed by
-    the matching entry of ``payloads`` (a JSON-able description;
-    defaults to the items themselves) and hits skip execution entirely.
-    Cached results must never be ``None`` — ``None`` is the miss
-    sentinel.  ``on_executed`` receives the number of items actually
-    executed (for the harness's cycle accounting).
-    """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
     context = runtime.active()
-    resumable = context is not None and context.checkpointing
-    dispatcher = context.dispatcher if context is not None else None
-
-    def execute(work: list[Any]) -> list[Any]:
-        if dispatcher is not None:
-            return dispatcher(fn, work)
-        return _dispatch(fn, work, jobs, resumable)
-
-    cache = context.cache if context is not None and codec is not None else None
-    if cache is None or context is None:
+    if context is None or context.cache is None or codec is None:
         if on_executed is not None:
             on_executed(len(items))
         return execute(items)
+    cache = context.cache
     described = list(payloads) if payloads is not None else items
     if len(described) != len(items):
         raise ConfigurationError(
@@ -234,6 +138,57 @@ def parallel_map(
             cache.put(keys[index], context.experiment, codec, result)
             results[index] = result
     return results
+
+
+def parallel_map(
+    fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    jobs: int | None = 1,
+    *,
+    codec: str | None = None,
+    payloads: Sequence[Any] | None = None,
+    on_executed: Callable[[int], None] | None = None,
+) -> list[Any]:
+    """``[fn(item) for item in items]``, memoized and optionally pooled.
+
+    ``fn`` and every item must be picklable (``fn`` defined at module top
+    level).  Results come back in input order.  Exceptions raised *inside*
+    a worker propagate unchanged; a worker process that dies outright is
+    retried under :data:`~repro.service.backoff.TASK_RETRY` and reported
+    as :class:`~repro.errors.WorkerFailedError` once the budget is spent.
+    A context carrying a ``dispatcher`` delegates all execution —
+    pooling, retries and supervision included — to it.
+
+    ``codec`` opts the call into the result cache: when a
+    :mod:`repro.cache` context is active, each unit of work is keyed by
+    the matching entry of ``payloads`` (a JSON-able description;
+    defaults to the items themselves) and hits skip execution entirely.
+    Cached results must never be ``None`` — ``None`` is the miss
+    sentinel.  ``on_executed`` receives the number of items actually
+    executed (for the harness's cycle accounting).
+    """
+    items = list(items)
+    jobs = resolve_jobs(jobs)
+    context = runtime.active()
+    dispatcher = context.dispatcher if context is not None else None
+
+    def execute(work: list[Any]) -> list[Any]:
+        if dispatcher is not None:
+            return dispatcher(fn, work)
+        if jobs <= 1 or len(work) <= 1:
+            return [fn(item) for item in work]
+        # Imported here so that importing this module never loads the
+        # service package (asyncio, HTTP server) on the serial paths.
+        from repro.service.supervisor import SupervisedPool, SupervisorConfig
+
+        # No deadline: a full-fidelity grid point has no wall-clock bound.
+        config = SupervisorConfig(
+            workers=min(jobs, len(work)), task_deadline=None
+        )
+        with SupervisedPool(config) as pool:
+            return pool.map(fn, work)
+
+    return _memoized(execute, items, codec, payloads, on_executed)
 
 
 def _simulate_task(task: tuple[Any, ...]) -> "SimulationResult":
@@ -272,7 +227,7 @@ def _simulate_task(task: tuple[Any, ...]) -> "SimulationResult":
 def _resolve_backends(
     configs: Sequence["NetworkConfig"],
     backend: str | None,
-    context: Any,
+    context: runtime.CacheContext | None,
 ) -> list[str]:
     """Per-config backend resolution under the ambient instrumentation.
 
@@ -286,11 +241,7 @@ def _resolve_backends(
     from repro.kernel.base import resolve_backend
 
     env = env_instrumentation()
-    checkpointing = (
-        context is not None
-        and context.checkpoint_every is not None
-        and context.checkpoint_dir is not None
-    )
+    checkpointing = context is not None and context.checkpointing
     return [
         resolve_backend(
             config,
@@ -318,42 +269,18 @@ def _mixed_backend_simulate(
     subset re-enters :func:`parallel_simulate` with the backend pinned,
     keeping its pooling/checkpointing/caching behaviour untouched.
     """
-    global _cycles_simulated
-    context = runtime.active()
-    cache = context.cache if context is not None else None
     results: list[Any] = [None] * len(configs)
     numpy_indices = [i for i, b in enumerate(backends) if b == "numpy"]
     reference_indices = [i for i, b in enumerate(backends) if b != "numpy"]
-    keys: dict[int, Any] = {}
-    missed = numpy_indices
-    if cache is not None and context is not None:
-        keys = {
-            index: cache_key(
-                context.experiment, "simulation-result", payloads[index]
-            )
-            for index in numpy_indices
-        }
-        missed = []
-        for index in numpy_indices:
-            hit = cache.get(keys[index])
-            if hit is None:
-                missed.append(index)
-            else:
-                results[index] = hit
-    if missed:
-        _cycles_simulated += (warmup_cycles + measure_cycles) * len(missed)
-        fresh = _numpy_group_simulate(
-            [configs[i] for i in missed], warmup_cycles, measure_cycles
-        )
-        for index, result in zip(missed, fresh):
-            if cache is not None and context is not None:
-                cache.put(
-                    keys[index],
-                    context.experiment,
-                    "simulation-result",
-                    result,
-                )
-            results[index] = result
+    numpy_results = _memoized(
+        lambda work: _numpy_group_simulate(work, warmup_cycles, measure_cycles),
+        [configs[i] for i in numpy_indices],
+        "simulation-result",
+        [payloads[i] for i in numpy_indices],
+        _cycle_counter(warmup_cycles + measure_cycles),
+    )
+    for index, result in zip(numpy_indices, numpy_results):
+        results[index] = result
     if reference_indices:
         reference_results = parallel_simulate(
             [configs[i] for i in reference_indices],
@@ -448,12 +375,9 @@ def parallel_simulate(
             jobs,
         )
     tasks: list[tuple[Any, ...]]
-    if (
-        context is not None
-        and context.checkpoint_every is not None
-        and context.checkpoint_dir is not None
-    ):
-        directory = context.checkpoint_dir
+    if context is not None and context.checkpointing:
+        # ``checkpointing`` guarantees the directory is set.
+        directory = cast(Path, context.checkpoint_dir)
         tasks = []
         for config, payload in zip(configs, payloads):
             stamp = digest_json(payload)
@@ -470,16 +394,11 @@ def parallel_simulate(
         tasks = [
             (config, warmup_cycles, measure_cycles) for config in configs
         ]
-
-    def count_cycles(executed: int) -> None:
-        global _cycles_simulated
-        _cycles_simulated += (warmup_cycles + measure_cycles) * executed
-
     return parallel_map(
         _simulate_task,
         tasks,
         jobs=jobs,
         codec="simulation-result",
         payloads=payloads,
-        on_executed=count_cycles,
+        on_executed=_cycle_counter(warmup_cycles + measure_cycles),
     )

@@ -26,14 +26,9 @@ __all__ = ["main"]
 
 
 def _chaos_from_args(args: argparse.Namespace) -> ChaosPolicy | None:
-    if not (args.chaos_kill or args.chaos_stall or args.chaos_slow_io):
+    if not args.chaos_kill:
         return None
-    return ChaosPolicy(
-        seed=args.chaos_seed,
-        kill_probability=args.chaos_kill,
-        stall_probability=args.chaos_stall,
-        slow_io_probability=args.chaos_slow_io,
-    )
+    return ChaosPolicy(seed=args.chaos_seed, kill_probability=args.chaos_kill)
 
 
 def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,20 +38,6 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
         default=0.0,
         metavar="P",
         help="probability a task attempt's worker is killed mid-run",
-    )
-    parser.add_argument(
-        "--chaos-stall",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="probability a task attempt stalls before working",
-    )
-    parser.add_argument(
-        "--chaos-slow-io",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="probability a task attempt's result write is delayed",
     )
     parser.add_argument(
         "--chaos-seed",
@@ -228,8 +209,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report["chaos"] = {
         "enabled": chaos is not None and chaos.enabled,
         "kill_probability": chaos.kill_probability if chaos else 0.0,
-        "stall_probability": chaos.stall_probability if chaos else 0.0,
-        "slow_io_probability": chaos.slow_io_probability if chaos else 0.0,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

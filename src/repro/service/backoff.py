@@ -2,14 +2,14 @@
 
 One place for every delay the service hands out, all derived from the
 shared :class:`repro.utils.backoff.BackoffPolicy` (the same machinery
-:mod:`repro.faults.transport` uses for link-level retransmits and
-:mod:`repro.perf.parallel` for pool restarts — one backoff idiom across
-the repo, tuned per layer):
+:mod:`repro.faults.transport` uses for link-level retransmits — one
+backoff idiom across the repo, tuned per layer):
 
 * :data:`TASK_RETRY` — per-task retry schedule of the supervised worker
-  pool: how long a task killed with its worker waits before its next
-  attempt, and how many attempts it gets before the pool gives up with a
-  structured :class:`~repro.errors.WorkerFailedError`.
+  pool, and so of every multi-process map in the repo: how long a task
+  killed with its worker waits before its next attempt, and how many
+  attempts it gets before the pool gives up with a structured
+  :class:`~repro.errors.WorkerFailedError`.
 * :data:`CLIENT_RETRY` — what a well-behaved client should do between
   attempts after a 429/503; the bench client follows it.
 * :func:`retry_after` — the ``Retry-After`` value the server attaches to

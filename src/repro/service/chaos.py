@@ -3,8 +3,7 @@
 The fault-injection philosophy of :mod:`repro.faults` — every fault is a
 *seeded draw*, so a chaotic run is exactly reproducible — applied at the
 process level.  A :class:`ChaosPolicy` decides, per (task, attempt),
-whether the executing worker is killed mid-task, stalled past its
-deadline, or slowed on result I/O.  Decisions derive from a
+whether the executing worker is killed mid-task.  Decisions derive from a
 :class:`~repro.utils.rng.RandomStream` substream named by the task key
 and the attempt number, so they do not depend on scheduling, worker
 identity, or wall-clock time — two runs of the same workload under the
@@ -38,13 +37,6 @@ class ChaosPolicy:
     kill_probability:
         Chance an attempt's worker hard-exits (``os._exit``) mid-task —
         the process-level analogue of a crashed chip.
-    stall_probability:
-        Chance an attempt stalls (sleeps) for ``stall_s`` before doing
-        any work, tripping the supervisor's deadline.
-    slow_io_probability:
-        Chance an attempt's result write is delayed by ``slow_io_s`` —
-        slow enough to notice in latency percentiles, not enough to
-        trip a deadline.
     kill_after_s:
         Delay from task start to the injected kill, uniform in this
         ``(low, high)`` window, so kills land mid-simulation (after a
@@ -55,22 +47,14 @@ class ChaosPolicy:
 
     seed: int = 1988
     kill_probability: float = 0.0
-    stall_probability: float = 0.0
-    slow_io_probability: float = 0.0
     kill_after_s: tuple[float, float] = (0.05, 0.4)
-    stall_s: float = 1.0
-    slow_io_s: float = 0.05
     max_injections_per_task: int = 2
 
     def __post_init__(self) -> None:
-        for name in (
-            "kill_probability",
-            "stall_probability",
-            "slow_io_probability",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} out of [0, 1]: {value}")
+        if not 0.0 <= self.kill_probability <= 1.0:
+            raise ConfigurationError(
+                f"kill_probability out of [0, 1]: {self.kill_probability}"
+            )
         low, high = self.kill_after_s
         if low < 0 or high < low:
             raise ConfigurationError(
@@ -82,22 +66,15 @@ class ChaosPolicy:
 
     @property
     def enabled(self) -> bool:
-        """Whether any fault has a non-zero probability."""
-        return (
-            self.kill_probability > 0.0
-            or self.stall_probability > 0.0
-            or self.slow_io_probability > 0.0
-        )
+        """Whether kills have a non-zero probability."""
+        return self.kill_probability > 0.0
 
     def draw(self, task_key: str, attempt: int) -> dict[str, Any]:
         """The injection envelope for one attempt of one task.
 
         Returns a dict the worker loop interprets: ``kill_after_s`` (the
-        worker hard-exits that long into the task), ``stall_s`` (sleep
-        before work), ``slow_io_s`` (sleep before posting the result).
-        Empty dict = attempt runs clean.  At most one fault kind fires
-        per attempt (kill shadows stall shadows slow-io), which keeps
-        the injected behaviours easy to attribute.
+        worker hard-exits that long into the task).  Empty dict =
+        attempt runs clean.
         """
         if not self.enabled or attempt > self.max_injections_per_task:
             return {}
@@ -105,8 +82,4 @@ class ChaosPolicy:
         if stream.bernoulli(self.kill_probability):
             low, high = self.kill_after_s
             return {"kill_after_s": low + (high - low) * stream.random()}
-        if stream.bernoulli(self.stall_probability):
-            return {"stall_s": self.stall_s}
-        if stream.bernoulli(self.slow_io_probability):
-            return {"slow_io_s": self.slow_io_s}
         return {}

@@ -1,27 +1,30 @@
 """Supervised worker-process pool: heartbeats, deadlines, bounded retries.
 
-This is the robustness core of :mod:`repro.service`.  Where
-:func:`repro.perf.parallel.parallel_simulate` restarts an anonymous
-``ProcessPoolExecutor`` when it breaks, the :class:`SupervisedPool` keeps
-*named* worker processes under continuous supervision:
+The repo's one worker pool.  :func:`repro.perf.parallel.parallel_map`
+runs every ``jobs > 1`` map on a short-lived :class:`SupervisedPool`,
+and :mod:`repro.service` shares one long-lived pool across its
+concurrent jobs.  The pool keeps *named* worker processes under
+continuous supervision:
 
 * each worker carries a **heartbeat thread** writing into shared memory;
   a stale heartbeat (wedged process) or a dead PID is detected within a
   supervision tick, not at the end of the batch;
-* each task attempt carries a **deadline**; an attempt that overruns it
-  has its worker killed and the task retried;
-* retries follow the shared :class:`~repro.utils.backoff.BackoffPolicy`
-  (deterministic jitter, bounded budget).  A task that exhausts the
-  budget fails with a structured
-  :class:`~repro.errors.WorkerFailedError` — the contract is *deliver or
+* each task attempt may carry a **deadline**; an attempt that overruns
+  it has its worker killed and the task retried;
+* every worker death is retried under
+  :data:`~repro.service.backoff.TASK_RETRY` (deterministic jitter,
+  bounded budget).  A task that exhausts the budget fails with a
+  structured :class:`~repro.errors.WorkerFailedError` naming the task,
+  its attempt count and its checkpoint — the contract is *deliver or
   say so*, never hang;
 * a replacement attempt of a checkpointed simulation task resumes from
   the dead worker's last on-disk checkpoint (the task functions of
   :mod:`repro.perf.parallel` already resume when their checkpoint file
   exists), so a kill costs the cycles since the last checkpoint, not the
-  whole run;
-* a seeded :class:`~repro.service.chaos.ChaosPolicy` can inject kills,
-  stalls and slow result I/O per attempt — reproducibly.
+  whole run; an uncheckpointed task reruns from cycle 0, which is safe
+  because every task is a pure function of its seeded config;
+* a seeded :class:`~repro.service.chaos.ChaosPolicy` can inject worker
+  kills per attempt — reproducibly.
 
 The pool is thread-safe: multiple threads may :meth:`map` concurrently
 (the simulation service shards several jobs' grid points over one pool).
@@ -39,7 +42,7 @@ import time
 import traceback
 import multiprocessing as mp
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, WorkerFailedError
@@ -53,10 +56,8 @@ __all__ = ["SupervisedPool", "SupervisorConfig"]
 #: Exit code of a chaos-injected worker kill (mirrors SIGKILL's 128+9).
 CHAOS_EXIT_CODE = 137
 
-
-def _default_retry() -> BackoffPolicy:
-    """Retry budget of the service pool (see :mod:`repro.service.backoff`)."""
-    return TASK_RETRY
+#: ``multiprocessing`` start method: fork where the platform has it.
+START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,8 @@ class SupervisorConfig:
     heartbeat_timeout: float = 3.0
     #: Per-attempt wall-clock budget (``None`` disables deadlines).
     task_deadline: float | None = 120.0
-    #: Retry schedule and budget shared with the rest of the repo.
-    retry: BackoffPolicy = field(default_factory=_default_retry)
-    #: ``multiprocessing`` start method (``None``: fork where available).
-    start_method: str | None = None
+    #: Retry schedule and budget of every task.
+    retry: BackoffPolicy = TASK_RETRY
     #: Supervision loop cadence.
     tick: float = 0.02
 
@@ -141,9 +140,6 @@ def _worker_main(
             )
             kill_timer.daemon = True
             kill_timer.start()
-        stall = inject.get("stall_s")
-        if stall:
-            time.sleep(stall)
         try:
             value = fn(item)
         except BaseException as exc:
@@ -153,9 +149,6 @@ def _worker_main(
         else:
             if kill_timer is not None:
                 kill_timer.cancel()
-            slow = inject.get("slow_io_s")
-            if slow:
-                time.sleep(slow)
             results.put(("ok", task_uid, value))
 
 
@@ -226,12 +219,7 @@ class SupervisedPool:
         self.config = config or SupervisorConfig()
         self.chaos = chaos
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        method = self.config.start_method
-        if method is None:
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(method)
+        self._ctx = mp.get_context(START_METHOD)
         self._heartbeats = self._ctx.Array("d", self.config.workers, lock=False)
         self._lock = threading.RLock()
         self._tasks: dict[int, _Task] = {}
@@ -314,7 +302,7 @@ class SupervisedPool:
 
         Blocks until every item completed or permanently failed.  An
         exception raised *inside* ``fn`` is deterministic and propagates
-        unchanged without retry; worker deaths, stalls and deadline
+        unchanged without retry; worker deaths, wedges and deadline
         overruns are retried per the configured
         :class:`~repro.utils.backoff.BackoffPolicy` and surface as
         :class:`WorkerFailedError` only once the budget is exhausted.
@@ -591,8 +579,7 @@ class SupervisedPool:
                 inject = self.chaos.draw(task.key, task.attempts)
                 if inject:
                     self.metrics.counter(
-                        "service_chaos_injections_total",
-                        kind=next(iter(inject)).removesuffix("_s"),
+                        "service_chaos_injections_total", kind="kill_after"
                     ).inc()
             worker.busy_uid = uid
             worker.inbox.put((uid, task.fn, task.item, inject))

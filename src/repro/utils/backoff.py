@@ -1,13 +1,12 @@
 """Reusable exponential-backoff policy with deterministic jitter.
 
-Retry schedules appear in three places in this codebase — the reliable
+Retry schedules appear in two places in this codebase — the reliable
 transport of :mod:`repro.faults.transport` (retransmission timers counted
-in network cycles), the process-pool restart path of
-:mod:`repro.perf.parallel`, and the supervised experiment farm of
-:mod:`repro.service` (both counted in seconds).  All three share the same
-shape: a base delay that doubles per attempt up to a cap, a bounded
-attempt budget, and — for the wall-clock consumers — jitter that spreads
-synchronized retries apart.
+in network cycles) and the supervised worker pool of
+:mod:`repro.service.supervisor` (task retries and client backoff,
+counted in seconds).  Both share the same shape: a base delay that
+doubles per attempt up to a cap, a bounded attempt budget, and — for the
+wall-clock consumers — jitter that spreads synchronized retries apart.
 
 The policy is *unit-agnostic* (a delay is just a number; the caller
 decides whether it means cycles or seconds) and, crucially for this

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check for the result cache and checkpoint/resume.
 
-Two end-to-end properties, checked on a real experiment:
+Three end-to-end properties, checked on a real experiment:
 
 1. **Warm cache**: running the same experiment twice against one cache
    performs *zero* simulations the second time and prints a
@@ -11,6 +11,10 @@ Two end-to-end properties, checked on a real experiment:
    the process the moment a checkpoint hits that cycle) and then re-run
    resumes from the checkpoint file and prints a report byte-identical
    to an uninterrupted run.
+3. **Pooled kill/resume**: the same run under ``--jobs 2`` kills each
+   supervised worker at that checkpoint; the pool retries the task, the
+   replacement resumes from the file, and the one invocation exits 0,
+   prints the reference report and leaves no checkpoint behind.
 
 Usage::
 
@@ -91,9 +95,8 @@ def check_warm_cache(experiment: str, scratch: Path) -> None:
           "byte-identical report")
 
 
-def check_kill_resume(experiment: str, scratch: Path) -> None:
-    cache_dir = scratch / "resume-cache"
-    arguments = [
+def checkpointed_arguments(experiment: str, cache_dir: Path) -> list[str]:
+    return [
         experiment,
         "--quick",
         "--cache",
@@ -103,9 +106,10 @@ def check_kill_resume(experiment: str, scratch: Path) -> None:
         str(CHECKPOINT_EVERY),
     ]
 
-    reference = run_cli([experiment, "--quick"], cli_env())
-    if reference.returncode != 0:
-        fail(f"reference run failed:\n{reference.stderr}")
+
+def check_kill_resume(experiment: str, scratch: Path, reference: str) -> None:
+    cache_dir = scratch / "resume-cache"
+    arguments = checkpointed_arguments(experiment, cache_dir)
 
     killed = run_cli(
         arguments,
@@ -123,7 +127,7 @@ def check_kill_resume(experiment: str, scratch: Path) -> None:
     resumed = run_cli(arguments, cli_env())
     if resumed.returncode != 0:
         fail(f"resumed run failed:\n{resumed.stderr}")
-    if report_of(resumed.stdout) != report_of(reference.stdout):
+    if report_of(resumed.stdout) != reference:
         fail(
             f"resumed {experiment} report differs from the "
             "uninterrupted run"
@@ -132,12 +136,39 @@ def check_kill_resume(experiment: str, scratch: Path) -> None:
           "resumed byte-identically")
 
 
+def check_pooled_kill_resume(
+    experiment: str, scratch: Path, reference: str
+) -> None:
+    cache_dir = scratch / "pooled-cache"
+    pooled = run_cli(
+        [*checkpointed_arguments(experiment, cache_dir), "--jobs", "2"],
+        cli_env(REPRO_TEST_EXIT_AT_CHECKPOINT=str(KILL_AT_CYCLE)),
+    )
+    if pooled.returncode != 0:
+        fail(
+            f"--jobs 2 run with workers killed at cycle {KILL_AT_CYCLE} "
+            f"exited {pooled.returncode}; expected 0\n{pooled.stderr}"
+        )
+    if report_of(pooled.stdout) != reference:
+        fail(f"--jobs 2 {experiment} report differs from the reference run")
+    leftovers = list(cache_dir.glob("**/*.ckpt"))
+    if leftovers:
+        fail(f"--jobs 2 run left checkpoint files behind: {leftovers}")
+    print(f"cache-smoke: --jobs 2 {experiment} workers killed at cycle "
+          f"{KILL_AT_CYCLE}, recovered byte-identically in one run")
+
+
 def main(argv: list[str]) -> int:
     experiment = argv[1] if len(argv) > 1 else "figure3"
     with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as tmp:
         scratch = Path(tmp)
         check_warm_cache(experiment, scratch)
-        check_kill_resume(experiment, scratch)
+        reference = run_cli([experiment, "--quick"], cli_env())
+        if reference.returncode != 0:
+            fail(f"reference run failed:\n{reference.stderr}")
+        expected = report_of(reference.stdout)
+        check_kill_resume(experiment, scratch, expected)
+        check_pooled_kill_resume(experiment, scratch, expected)
     print("cache-smoke: OK")
     return 0
 

@@ -91,12 +91,6 @@ class TestSharedUsers:
         assert channel._timeout(4) == 32  # capped at base * cap_multiple
         assert channel._timeout(5) == 32
 
-    def test_parallel_restart_policy_is_shared_shape(self):
-        from repro.perf.parallel import RESTART_POLICY
-
-        assert isinstance(RESTART_POLICY, BackoffPolicy)
-        assert RESTART_POLICY.max_attempts == 3
-
     def test_service_task_retry_is_shared_shape(self):
         from repro.service.backoff import TASK_RETRY
 

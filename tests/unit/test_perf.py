@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, WorkerFailedError
 from repro.network.simulator import NetworkConfig
 from repro.perf import (
     parallel_map,
@@ -21,6 +24,7 @@ from repro.perf.harness import (
     measure_experiment,
     write_bench,
 )
+from repro.service.backoff import TASK_RETRY
 
 #: A small grid of independent configs (different loads and seeds).
 GRID = [
@@ -47,6 +51,16 @@ def fingerprint(result) -> tuple:
 
 def _crash(_item):  # pragma: no cover - runs in the worker process
     os._exit(13)  # simulate a segfault/OOM kill: no exception, no result
+
+
+def _die_once(item):  # pragma: no cover - runs in the worker process
+    """First attempt hard-exits; the retry sees the marker and works."""
+    marker, value = item
+    path = Path(marker)
+    if not path.exists():
+        path.write_text("died")
+        os._exit(13)
+    return value * 2
 
 
 class TestResolveJobs:
@@ -84,8 +98,30 @@ class TestParallelMap:
             parallel_map(_div_by_zero, [1, 2], jobs=2)
 
     def test_crashed_worker_reported_cleanly(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(WorkerFailedError) as info:
             parallel_map(_crash, [1, 2], jobs=2)
+        assert info.value.attempts == TASK_RETRY.max_attempts
+
+    def test_dead_worker_retried_without_checkpointing(self, tmp_path):
+        # No cache context, no checkpoint: the task reruns from scratch.
+        items = [(str(tmp_path / "a"), 1), (str(tmp_path / "b"), 2)]
+        assert parallel_map(_die_once, items, jobs=2) == [2, 4]
+
+    def test_import_leaves_the_service_unloaded(self):
+        probe = (
+            "import sys, repro.perf.parallel; "
+            "print(any(m.startswith('repro.service') for m in sys.modules))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 def _div_by_zero(item):  # pragma: no cover - runs in the worker process

@@ -165,12 +165,3 @@ class TestChaosPolicy:
         )
         assert policy.draw("task", 2) != {}
         assert policy.draw("task", 3) == {}
-
-    def test_one_fault_kind_per_attempt(self):
-        policy = ChaosPolicy(
-            kill_probability=1.0,
-            stall_probability=1.0,
-            slow_io_probability=1.0,
-        )
-        envelope = policy.draw("task", 1)
-        assert list(envelope) == ["kill_after_s"]
