@@ -37,8 +37,7 @@ __all__ = [
 #: reads and order-dependent iteration are determinism hazards here.
 #: ``repro.kernel`` is the vectorized simulation backend — it must obey
 #: the exact same determinism contract as the scalar simulator it
-#: replays, so it lives under the same rules.  ``repro.perf`` is
-#: deliberately absent — the perf harness exists to read wall clocks.
+#: replays, so it lives under the same rules.
 SIMULATION_PACKAGES = (
     "repro.core",
     "repro.switch",
@@ -129,8 +128,9 @@ class Rep002WallClock(LintRule):
     friends make simulated behaviour depend on host speed and scheduling.
     The cycle-accurate packages (``repro.core``, ``repro.switch``,
     ``repro.network``, ``repro.chip``, ``repro.kernel``) must derive all
-    timing from simulated cycle counters; wall clocks belong in
-    ``repro.perf`` (the measurement harness) and the CLI layers only.
+    timing from simulated cycle counters; wall clocks belong in the
+    benchmark tools (``benchmarks/suite``, ``python -m repro.kernel
+    bench``) and the CLI layers only.
     """
 
     code = "REP002"
@@ -218,8 +218,7 @@ class Rep007WallClockOutsideAllowlist(LintRule):
     Beyond the simulation packages (REP002), *any* library module that
     reads a wall clock undermines reproducibility: results and artifacts
     start depending on when and on what machine a run happened.  Only
-    ``repro.perf`` (the measurement harness — its entire purpose is
-    timing), ``repro.telemetry`` (exports may stamp real durations) and
+    ``repro.telemetry`` (exports may stamp real durations) and
     ``repro.service`` (process supervision: heartbeats, deadlines and
     retry delays are inherently wall-clock) may call
     ``time.time``/``perf_counter``/``datetime.now`` and friends.
@@ -285,12 +284,13 @@ _WALL_CLOCK_CALLS = frozenset(
 #: Bare constructor names REP006 flags when used as defaults.
 _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "deque", "defaultdict"})
 
-#: Packages whose modules may read wall clocks (REP007): the measurement
-#: harness exists to time things, telemetry exports may stamp real
-#: durations, and the simulation service supervises real processes
-#: (heartbeats, deadlines, retry delays are wall-clock by nature).
-#: Everything else must justify each read with a noqa.
-WALL_CLOCK_ALLOWLIST = ("repro.perf", "repro.telemetry", "repro.service")
+#: Packages whose modules may read wall clocks (REP007): telemetry
+#: exports may stamp real durations, and the simulation service
+#: supervises real processes (heartbeats, deadlines, retry delays are
+#: wall-clock by nature).  Everything else must justify each read with a
+#: noqa; timing measurements live in the benchmark suite, outside the
+#: package.
+WALL_CLOCK_ALLOWLIST = ("repro.telemetry", "repro.service")
 
 
 @dataclass(frozen=True)
@@ -458,7 +458,7 @@ class _FileChecker(ast.NodeVisitor):
                 node,
                 f"wall-clock read {canonical}() inside a simulation path; "
                 f"derive timing from simulated cycles (wall clocks belong "
-                f"in repro.perf)",
+                f"in the benchmark tools)",
             )
 
     def _check_rep007(self, node: ast.Call, canonical: str) -> None:
@@ -474,7 +474,8 @@ class _FileChecker(ast.NodeVisitor):
                 node,
                 f"wall-clock read {canonical}() outside the measurement "
                 f"allowlist ({', '.join(WALL_CLOCK_ALLOWLIST)}); justify "
-                f"with a noqa comment or move the timing into repro.perf",
+                f"with a noqa comment or move the timing into the benchmark "
+                f"suite",
             )
 
     # -- REP003: set iteration -------------------------------------------

@@ -3,11 +3,11 @@
 Times both backends end-to-end — kernel construction, arrival-stream
 preparation, the cycle loop and result summarization — on the figure 3
 and table 3 grids, the two experiments whose simulation volume dominates
-the perf harness.  The reference backend runs each configuration
+the paper pipeline.  The reference backend runs each configuration
 individually (exactly how ``parallel_simulate`` schedules it per
-worker); the numpy backend fuses each structural batch group
-(:func:`~repro.kernel.numpy_kernel.batch_group_key`) into one kernel,
-which is precisely how it is dispatched in production.
+worker); the numpy backend runs through the same group-by-
+:func:`~repro.kernel.numpy_kernel.batch_group_key` loop
+``parallel_simulate`` dispatches it with, one fused kernel per group.
 
 Two numpy measurements are reported.  The per-grid rows batch within
 one experiment's grid (how a single ``run_experiment`` call dispatches
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
 from pathlib import Path
 from typing import Any
 
@@ -110,18 +109,13 @@ def _run_reference(
 def _run_numpy(
     configs: list[NetworkConfig], warmup: int, measure: int
 ) -> tuple[float, list[Any], int]:
-    from repro.kernel.numpy_kernel import NumpyKernel, batch_group_key
+    from repro.kernel.numpy_kernel import batch_group_key
+    from repro.perf.parallel import _numpy_group_simulate
 
-    groups: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-    for index, config in enumerate(configs):
-        groups[batch_group_key(config)].append(index)
-    results: list[Any] = [None] * len(configs)
     start = time.perf_counter()  # repro: noqa=REP002 (benchmark harness: timing backends is this module's purpose)
-    for indices in groups.values():
-        kernel = NumpyKernel.batch([configs[i] for i in indices])
-        for index, result in zip(indices, kernel.run_batch(warmup, measure)):
-            results[index] = result
-    return time.perf_counter() - start, results, len(groups)  # repro: noqa=REP002 (benchmark harness: timing backends is this module's purpose)
+    results = _numpy_group_simulate(configs, warmup, measure)
+    wall = time.perf_counter() - start  # repro: noqa=REP002 (benchmark harness: timing backends is this module's purpose)
+    return wall, results, len({batch_group_key(c) for c in configs})
 
 
 def run_kernel_bench(

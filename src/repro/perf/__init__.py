@@ -1,17 +1,17 @@
-"""Performance layer: parallel experiment engine and trajectory harness.
+"""Performance layer: the parallel experiment engine.
 
 The paper pipeline is a large grid of *independent* simulation runs —
 every table cell and curve point is one :class:`~repro.network.simulator.
 NetworkConfig` with its own root seed, so the grid is embarrassingly
-parallel and bit-reproducible in any execution order.  This subpackage
-provides:
+parallel and bit-reproducible in any execution order.
+:func:`parallel_simulate` / :func:`parallel_map` map over independent
+runs on the supervised worker pool (``jobs=1`` degrades to the plain
+serial loop, so serial and parallel results are byte-identical), and
+:func:`simulated_cycles` counts the network cycles they executed.
 
-* :func:`parallel_simulate` / :func:`parallel_map` — a process-pool map
-  over independent runs (``jobs=1`` degrades to the plain serial loop, so
-  serial and parallel results are byte-identical);
-* :mod:`repro.perf.harness` — wall-time and simulated-cycles/sec
-  measurement per experiment, written to ``BENCH_<pr>.json`` so every PR
-  can be tracked against the committed baseline.
+Nothing here reads a clock.  Performance is measured by the benchmark
+of record, ``benchmarks/suite`` (see its README), and the two kernel
+backends' speedup ratio by ``python -m repro.kernel bench``.
 """
 
 from repro.perf.parallel import (

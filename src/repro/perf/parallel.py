@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Network cycles simulated through this module since the last reset
-#: (parent-process view; the perf harness reads this to report
+#: (parent-process view; the benchmark suite reads this to report
 #: simulated-cycles-per-second).  Cache hits perform no simulation and
 #: are not counted.
 _cycles_simulated = 0
@@ -70,7 +70,7 @@ def simulated_cycles() -> int:
 
 
 def reset_simulated_cycles() -> None:
-    """Zero the cycle counter (the harness calls this per experiment)."""
+    """Zero the cycle counter (the benchmark calls this per experiment)."""
     global _cycles_simulated
     _cycles_simulated = 0
 
@@ -165,7 +165,7 @@ def parallel_map(
     defaults to the items themselves) and hits skip execution entirely.
     Cached results must never be ``None`` — ``None`` is the miss
     sentinel.  ``on_executed`` receives the number of items actually
-    executed (for the harness's cycle accounting).
+    executed (for the :func:`simulated_cycles` accounting).
     """
     items = list(items)
     jobs = resolve_jobs(jobs)

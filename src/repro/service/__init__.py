@@ -9,12 +9,14 @@ bounded, backed-off retry budget (:mod:`repro.service.backoff`); a
 circuit breaker (:mod:`repro.service.breaker`) degrades answers down a
 marked ladder (:mod:`repro.service.jobs`) instead of refusing; and a
 seeded chaos mode (:mod:`repro.service.chaos`) makes all of that
-testable deterministically.  ``python -m repro.service --help``.
+testable deterministically.  ``python -m repro.service --help``; the
+service's load benchmark is the ``service-zipf`` workload of
+``benchmarks/suite``.
 """
 
 from repro.service.breaker import CircuitBreaker
 from repro.service.chaos import ChaosPolicy
-from repro.service.client import ServiceClient, run_bench
+from repro.service.client import ServiceClient
 from repro.service.jobs import DEGRADATION_LADDER, JobRecord, JobSpec
 from repro.service.server import (
     ServiceConfig,
@@ -37,7 +39,6 @@ __all__ = [
     "SimulationService",
     "SupervisedPool",
     "SupervisorConfig",
-    "run_bench",
     "serve",
     "serve_in_thread",
 ]

@@ -11,7 +11,8 @@ backoff idiom across the repo, tuned per layer):
   attempts it gets before the pool gives up with a structured
   :class:`~repro.errors.WorkerFailedError`.
 * :data:`CLIENT_RETRY` — what a well-behaved client should do between
-  attempts after a 429/503; the bench client follows it.
+  attempts after a 429/503; :class:`~repro.service.client.ServiceClient`
+  follows it.
 * :func:`retry_after` — the ``Retry-After`` value the server attaches to
   a rejection, scaled by how deep the admission queue already is.
 """

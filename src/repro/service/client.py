@@ -1,49 +1,25 @@
-"""HTTP client and Zipf load generator for the simulation service.
+"""HTTP client for the simulation service.
 
 :class:`ServiceClient` is a tiny stdlib (:mod:`http.client`) wrapper —
 one connection per request, matching the server's ``Connection: close``
-discipline — that honest clients and the tests share.  On a 429 it backs
-off per :data:`repro.service.backoff.CLIENT_RETRY` (deterministic jitter
-from the caller's RNG stream key) before retrying.
-
-:func:`run_bench` is the load generator behind ``python -m repro.service
-bench``: it drives the service with a **Zipf-distributed** request mix —
-a few popular experiment specs dominating a long tail, the canonical
-shape of a result-serving workload and the one content addressing is
-designed for.  It reports requests/s, cache hit-rate, latency
-percentiles, degraded/rejected counts, and (when chaos or kills are
-involved) the supervisor's measured recovery times.
+discipline — that honest clients, the tests and the benchmark suite's
+``service-zipf`` load generator share.  On a 429 it backs off per
+:data:`repro.service.backoff.CLIENT_RETRY` (deterministic jitter from the
+caller's RNG stream key) before retrying.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import math
-import threading
 import time
 from typing import Any
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError
 from repro.service.backoff import CLIENT_RETRY
-from repro.utils.rng import RandomStream
 
-__all__ = ["ServiceClient", "percentile", "run_bench"]
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``samples`` by nearest-rank.
-
-    Returns 0.0 for an empty sample list (a bench that sent nothing).
-    """
-    if not samples:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"quantile out of [0, 1]: {q}")
-    ordered = sorted(samples)
-    rank = math.ceil(q * len(ordered))
-    return ordered[min(len(ordered), max(1, rank)) - 1]
+__all__ = ["ServiceClient"]
 
 
 class ServiceClient:
@@ -133,149 +109,3 @@ class ServiceClient:
 
     def metrics(self) -> dict[str, Any]:
         return self.request("GET", "/v1/metrics")[1]
-
-    def kill_worker(self) -> dict[str, Any]:
-        return self.request("POST", "/v1/admin/kill-worker", {})[1]
-
-
-def _zipf_catalog(
-    experiments: list[str], seeds: list[int], exponent: float
-) -> tuple[list[tuple[str, int]], list[float]]:
-    """The spec catalog and its cumulative Zipf weights, rank order."""
-    catalog = [(e, s) for e in experiments for s in seeds]
-    weights = [1.0 / (rank + 1) ** exponent for rank in range(len(catalog))]
-    total = sum(weights)
-    cumulative: list[float] = []
-    running = 0.0
-    for weight in weights:
-        running += weight / total
-        cumulative.append(running)
-    return catalog, cumulative
-
-
-def _draw(cumulative: list[float], u: float) -> int:
-    for index, edge in enumerate(cumulative):
-        if u <= edge:
-            return index
-    return len(cumulative) - 1
-
-
-def run_bench(
-    url: str,
-    requests: int = 60,
-    clients: int = 4,
-    experiments: list[str] | None = None,
-    seeds: list[int] | None = None,
-    zipf_exponent: float = 1.1,
-    seed: int = 1988,
-    kill_workers: int = 0,
-) -> dict[str, Any]:
-    """Drive ``requests`` Zipf-distributed jobs at the service.
-
-    ``kill_workers`` > 0 hard-kills that many busy workers (via the admin
-    endpoint) spread across the run, so the report's recovery numbers
-    reflect actual mid-simulation deaths.  The request *sequence* is
-    deterministic in ``seed``; timing numbers are honest wall clock.
-    """
-    experiments = experiments or ["table1", "figure1"]
-    seeds = seeds or [1988, 7, 42]
-    catalog, cumulative = _zipf_catalog(experiments, seeds, zipf_exponent)
-    stream = RandomStream(seed, "service/bench")
-    plan = [_draw(cumulative, stream.random()) for _ in range(requests)]
-
-    client = ServiceClient(url)
-    lock = threading.Lock()
-    latencies: list[float] = []
-    outcomes = {"fresh": 0, "hit": 0, "degraded": 0, "rejected": 0, "failed": 0}
-    cursor = {"next": 0}
-
-    def _worker(worker_id: int) -> None:
-        while True:
-            with lock:
-                position = cursor["next"]
-                if position >= len(plan):
-                    return
-                cursor["next"] = position + 1
-            experiment, spec_seed = catalog[plan[position]]
-            begin = time.monotonic()
-            status, document = client.submit(
-                experiment,
-                seed=spec_seed,
-                wait=True,
-                retry_key=f"bench/{worker_id}/{position}",
-            )
-            elapsed = time.monotonic() - begin
-            with lock:
-                if status == 429:
-                    outcomes["rejected"] += 1
-                    continue
-                latencies.append(elapsed)
-                result = document.get("result") or {}
-                if result.get("degraded"):
-                    outcomes["degraded"] += 1
-                elif document.get("status") == "failed":
-                    outcomes["failed"] += 1
-                elif document.get("cache_hit") or document.get("source") in (
-                    "cached",
-                    "stale",
-                    "analytic",
-                ):
-                    outcomes["hit"] += 1
-                else:
-                    outcomes["fresh"] += 1
-
-    killer_stop = threading.Event()
-
-    def _killer() -> None:
-        for _ in range(kill_workers):
-            if killer_stop.wait(0.4):
-                return
-            client.kill_worker()
-
-    begin = time.monotonic()
-    threads = [
-        threading.Thread(target=_worker, args=(n,), daemon=True)
-        for n in range(clients)
-    ]
-    killer = threading.Thread(target=_killer, daemon=True)
-    for thread in threads:
-        thread.start()
-    killer.start()
-    for thread in threads:
-        thread.join()
-    killer_stop.set()
-    killer.join(timeout=5.0)
-    wall = time.monotonic() - begin
-
-    answered = len(latencies)
-    stats = client.stats()
-    return {
-        "requests": requests,
-        "clients": clients,
-        "catalog_size": len(catalog),
-        "zipf_exponent": zipf_exponent,
-        "wall_seconds": round(wall, 3),
-        "requests_per_second": round(answered / wall, 2) if wall else 0.0,
-        "answered": answered,
-        "outcomes": outcomes,
-        "cache_hit_rate": (
-            round((outcomes["hit"] + outcomes["degraded"]) / answered, 4)
-            if answered
-            else 0.0
-        ),
-        "latency_seconds": {
-            "p50": round(percentile(latencies, 0.50), 4),
-            "p99": round(percentile(latencies, 0.99), 4),
-            "max": round(max(latencies), 4) if latencies else 0.0,
-        },
-        "workers_killed": kill_workers,
-        "recovery": {
-            "worker_restarts": stats["pool"]["worker_restarts"],
-            "tasks_retried": stats["pool"]["tasks_retried"],
-            "recoveries": stats["pool"]["recoveries"],
-            "mean_recovery_seconds": round(
-                stats["pool"]["mean_recovery_seconds"], 4
-            ),
-        },
-        "server_jobs": stats["jobs"],
-    }

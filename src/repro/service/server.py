@@ -35,7 +35,6 @@ Endpoints::
     GET  /v1/health             liveness + breaker state
     GET  /v1/stats              queue, pool, breaker, cache counters
     GET  /v1/metrics            repro.telemetry metrics document
-    POST /v1/admin/kill-worker  hard-kill one worker (chaos/admin)
 """
 
 from __future__ import annotations
@@ -372,12 +371,6 @@ class SimulationService:
             },
         )
 
-    def kill_worker(self) -> Response:
-        slot = self.pool.kill_worker()
-        if slot is None:
-            return Response(200, body={"killed_slot": None})
-        return Response(200, body={"killed_slot": slot})
-
     def _count_job(self, outcome: str) -> None:
         self.metrics.counter("service_jobs_total", outcome=outcome).inc()
 
@@ -556,8 +549,6 @@ class HttpServer:
                 await loop.run_in_executor(None, service.metrics_document),
                 False,
             )
-        if method == "POST" and target == "/v1/admin/kill-worker":
-            return await loop.run_in_executor(None, service.kill_worker), False
         if target.startswith("/v1/"):
             return Response(405, body={"error": f"{method} {target}"}), False
         return Response(404, body={"error": f"no route {target}"}), False
@@ -647,7 +638,7 @@ class ServiceHandle:
 def serve_in_thread(config: ServiceConfig | None = None) -> ServiceHandle:
     """Start a full service on a daemon thread; returns a live handle.
 
-    The bench client and the integration tests use this to run client
+    The benchmark suite and the integration tests use this to run client
     and server in one process without blocking the caller.
     """
     config = config or ServiceConfig()

@@ -336,7 +336,7 @@ class SupervisedPool:
     def kill_worker(self, slot: int | None = None) -> int | None:
         """Hard-kill one worker (prefer a busy one); returns its slot.
 
-        The admin/chaos entry point: the supervision loop detects the
+        An external crash on demand: the supervision loop detects the
         death, retries the victim's task from its checkpoint, and
         respawns the slot — exactly as for any other crash.
         """

@@ -90,6 +90,8 @@ class TestHttpSurface:
     def test_unknown_route_404_and_bad_method_405(self, client):
         assert client.request("GET", "/nope")[0] == 404
         assert client.request("DELETE", "/v1/jobs")[0] == 405
+        # No HTTP request can kill a worker: there is no admin route.
+        assert client.request("POST", "/v1/admin/kill-worker", {})[0] == 405
 
     def test_stats_and_metrics_documents(self, client):
         stats = client.stats()

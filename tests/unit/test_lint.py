@@ -111,15 +111,15 @@ class TestRep002WallClock:
         ) == ["REP002"]
 
     def test_perf_package_is_allowed(self):
-        assert (
-            codes(
-                """
-                import time
-                start = time.perf_counter()
-                """,
-                module="repro.perf.harness",
-            )
-            == []
+        # repro.perf is not a simulation package, so REP002 stays out of
+        # it; its clock reads are REP007's to flag (see that rule's tests).
+        assert "REP002" not in codes(
+            """
+            import time
+            start = time.perf_counter()
+            """,
+            module="repro.perf.parallel",
+            path="src/repro/perf/parallel.py",
         )
 
     def test_noqa_suppresses(self):
@@ -371,12 +371,13 @@ class TestRep007WallClockOutsideAllowlist:
             path="src/repro/experiments/export.py",
         ) == ["REP007"]
 
-    def test_perf_harness_allowed(self):
+    def test_perf_package_flagged(self):
+        # repro.perf only maps simulations; nothing in it reads a clock.
         assert codes(
             self.WALL_CLOCK,
-            module="repro.perf.harness",
-            path="src/repro/perf/harness.py",
-        ) == []
+            module="repro.perf.parallel",
+            path="src/repro/perf/parallel.py",
+        ) == ["REP007"]
 
     def test_telemetry_allowed(self):
         assert codes(

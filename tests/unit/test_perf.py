@@ -1,6 +1,5 @@
-"""Tests for the parallel experiment engine and the perf harness."""
+"""Tests for the parallel experiment engine."""
 
-import json
 import os
 import subprocess
 import sys
@@ -16,13 +15,6 @@ from repro.perf import (
     reset_simulated_cycles,
     resolve_jobs,
     simulated_cycles,
-)
-from repro.perf.harness import (
-    BENCH_SCHEMA,
-    compare_to_baseline,
-    load_bench,
-    measure_experiment,
-    write_bench,
 )
 from repro.service.backoff import TASK_RETRY
 
@@ -126,103 +118,3 @@ class TestParallelMap:
 
 def _div_by_zero(item):  # pragma: no cover - runs in the worker process
     return item / 0
-
-
-class TestHarness:
-    def test_measure_experiment_record_shape(self, monkeypatch):
-        # Register a tiny simulation-backed experiment so the test does
-        # not pay for a real table's grid.
-        from repro.experiments import runner
-
-        def dummy(quick=False, seed=1988, jobs=1):
-            parallel_simulate(GRID[:1], 50, 150, jobs=jobs)
-
-        monkeypatch.setitem(runner.EXPERIMENTS, "dummy-sim", dummy)
-        record = measure_experiment("dummy-sim", quick=True, jobs=1)
-        assert set(record) == {"wall_s", "cycles_per_s", "jobs"}
-        assert record["wall_s"] > 0
-        # 200 simulated cycles over the measured wall time.
-        assert record["cycles_per_s"] > 0
-        assert record["jobs"] == 1
-
-    def test_bench_roundtrip_and_schema_check(self, tmp_path):
-        document = {
-            "schema": BENCH_SCHEMA,
-            "mode": "quick",
-            "jobs": 1,
-            "experiments": {"x": {"wall_s": 1.0, "cycles_per_s": 5.0, "jobs": 1}},
-        }
-        path = write_bench(document, tmp_path / "BENCH_test.json")
-        assert load_bench(path) == document
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": 99}))
-        with pytest.raises(ConfigurationError):
-            load_bench(bad)
-
-    def test_compare_to_baseline(self):
-        baseline = {
-            "schema": BENCH_SCHEMA,
-            "mode": "quick",
-            "experiments": {
-                "a": {"wall_s": 1.0, "cycles_per_s": 10.0, "jobs": 1},
-                "b": {"wall_s": 2.0, "cycles_per_s": 10.0, "jobs": 1},
-            },
-        }
-        current = {
-            "schema": BENCH_SCHEMA,
-            "mode": "quick",
-            "experiments": {
-                "a": {"wall_s": 1.2, "cycles_per_s": 9.0, "jobs": 1},
-                "b": {"wall_s": 9.0, "cycles_per_s": 2.0, "jobs": 1},
-                # Only-in-current experiments are skipped, not errors.
-                "c": {"wall_s": 50.0, "cycles_per_s": 1.0, "jobs": 1},
-            },
-        }
-        failures = compare_to_baseline(current, baseline, max_regression=3.0)
-        assert len(failures) == 1 and "b:" in failures[0]
-        assert compare_to_baseline(current, baseline, max_regression=10.0) == []
-
-    def test_compare_rejects_mode_mismatch(self):
-        quick = {"schema": BENCH_SCHEMA, "mode": "quick", "experiments": {}}
-        full = {"schema": BENCH_SCHEMA, "mode": "full", "experiments": {}}
-        assert "mode mismatch" in compare_to_baseline(quick, full)[0]
-
-    def test_compare_rejects_backend_mismatch(self):
-        numpy_doc = {
-            "schema": BENCH_SCHEMA,
-            "mode": "quick",
-            "backend": "numpy",
-            "experiments": {},
-        }
-        reference = {
-            "schema": BENCH_SCHEMA,
-            "mode": "quick",
-            "backend": "reference",
-            "experiments": {},
-        }
-        failures = compare_to_baseline(numpy_doc, reference)
-        assert failures and "backend mismatch" in failures[0]
-
-    def test_schema_v1_baseline_reads_as_reference_backend(self, tmp_path):
-        # Pre-backend benchmark files (schema 1, no backend field) must
-        # stay loadable and compare cleanly against a reference run.
-        v1 = {
-            "schema": 1,
-            "mode": "quick",
-            "experiments": {"a": {"wall_s": 1.0, "cycles_per_s": 10.0, "jobs": 1}},
-        }
-        path = tmp_path / "BENCH_v1.json"
-        path.write_text(json.dumps(v1))
-        baseline = load_bench(path)
-        current = {
-            "schema": BENCH_SCHEMA,
-            "mode": "quick",
-            "backend": "reference",
-            "experiments": {"a": {"wall_s": 1.1, "cycles_per_s": 9.0, "jobs": 1}},
-        }
-        assert compare_to_baseline(current, baseline, max_regression=3.0) == []
-
-    def test_invalid_max_regression_rejected(self):
-        quick = {"schema": BENCH_SCHEMA, "mode": "quick", "experiments": {}}
-        with pytest.raises(ConfigurationError):
-            compare_to_baseline(quick, quick, max_regression=0)
