@@ -30,7 +30,6 @@ from repro.kernel.base import (
     SimKernel,
     make_kernel,
     normalize_backend,
-    numpy_available,
     numpy_unsupported_reason,
     requested_backend,
     resolve_backend,
@@ -43,7 +42,6 @@ __all__ = [
     "SimKernel",
     "make_kernel",
     "normalize_backend",
-    "numpy_available",
     "numpy_unsupported_reason",
     "requested_backend",
     "resolve_backend",

@@ -20,7 +20,6 @@ implemented only by the reference simulator's instrumented classes.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
@@ -41,7 +40,6 @@ __all__ = [
     "SimKernel",
     "make_kernel",
     "normalize_backend",
-    "numpy_available",
     "numpy_unsupported_reason",
     "requested_backend",
     "resolve_backend",
@@ -153,11 +151,6 @@ def requested_backend() -> str | None:
     return normalize_backend(value)
 
 
-def numpy_available() -> bool:
-    """Whether the numpy package is importable in this interpreter."""
-    return importlib.util.find_spec("numpy") is not None
-
-
 def numpy_unsupported_reason(config: "NetworkConfig") -> str | None:
     """Why the numpy kernel cannot run ``config`` (``None`` if it can).
 
@@ -166,8 +159,6 @@ def numpy_unsupported_reason(config: "NetworkConfig") -> str | None:
     both flow-control fidelities — but not the orthogonal extension
     features, which stay on the reference kernel.
     """
-    if not numpy_available():
-        return "numpy is not installed"
     if config.buffer_kind not in NUMPY_BUFFER_KINDS:
         return (
             f"extension buffer architecture {config.buffer_kind!r} "

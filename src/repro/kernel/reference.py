@@ -92,11 +92,7 @@ class ReferenceKernel(SimKernel):
         pass
 
     def begin_measurement(self) -> None:
-        sim = self.simulator
-        if sim._measure_start_clock is None:  # noqa: SLF001
-            sim._measure_start_clock = (  # noqa: SLF001
-                sim.cycle * sim.config.cycle_clocks
-            )
+        self.simulator.begin_measurement()
 
     def step(self) -> None:
         self.simulator.step()
@@ -156,17 +152,4 @@ class ReferenceKernel(SimKernel):
     def finish(
         self, warmup_cycles: int, measure_cycles: int
     ) -> SimulationResult:
-        sim = self.simulator
-        sim.meters.cycles = measure_cycles
-        return SimulationResult(
-            buffer_kind=sim.config.buffer_kind,
-            protocol=str(sim.config.protocol),
-            arbiter_kind=sim.config.arbiter_kind,
-            traffic_kind=sim.pattern.kind,
-            offered_load=sim.config.offered_load,
-            slots_per_buffer=sim.config.slots_per_buffer,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
-            seed=sim.config.seed,
-            meters=sim.meters,
-        )
+        return self.simulator.result(warmup_cycles, measure_cycles)

@@ -588,11 +588,8 @@ class OmegaNetworkSimulator:
             target = None
         exit_at = os.environ.get(CHECKPOINT_EXIT_ENV)
         while self.cycle < total_cycles:
-            if (
-                self.cycle == warmup_cycles
-                and self._measure_start_clock is None
-            ):
-                self._measure_start_clock = self.cycle * self.config.cycle_clocks
+            if self.cycle == warmup_cycles:
+                self.begin_measurement()
             self.step()
             if (
                 every is not None
@@ -610,6 +607,21 @@ class OmegaNetworkSimulator:
                     # Test hook: die like a killed worker, leaving the
                     # just-written checkpoint as the recovery point.
                     os._exit(CHECKPOINT_EXIT_CODE)
+        return self.result(warmup_cycles, measure_cycles)
+
+    def begin_measurement(self) -> None:
+        """Open the measurement window at the current cycle.
+
+        Packets generated from here on are metered.  A window that is
+        already open (e.g. restored from a checkpoint) keeps its start.
+        """
+        if self._measure_start_clock is None:
+            self._measure_start_clock = self.cycle * self.config.cycle_clocks
+
+    def result(
+        self, warmup_cycles: int, measure_cycles: int
+    ) -> SimulationResult:
+        """Summarize the run as a :class:`SimulationResult`."""
         self.meters.cycles = measure_cycles
         return SimulationResult(
             buffer_kind=self.config.buffer_kind,

@@ -1,4 +1,4 @@
-"""Job specs, job records and the graceful-degradation ladder.
+"""Job specs and job records.
 
 A *job* is one experiment request — the unit a client submits, the
 service deduplicates, and a worker pool executes.  The spec is
@@ -8,27 +8,12 @@ scaling property for free: a million users asking for ``figure3`` hash
 to one key, so they cost one simulation (and the key folds in the source
 fingerprint, so a code change can never serve stale results as fresh).
 
-When the service cannot simulate — workers saturated or crashing, the
-circuit breaker open — it walks the **degradation ladder** instead of
-failing or hanging:
-
-``fresh``
-    A simulation actually ran for this request.
-``cached``
-    An exact-key hit: bit-identical to what a fresh run would produce
-    under the current source tree.
-``stale``
-    A previously computed result for the same *spec* whose key no longer
-    matches (typically: produced by an older source tree).  Clearly
-    better than nothing, clearly marked.
-``analytic``
-    A milliseconds-fast :mod:`repro.markov` prediction — exact
-    steady-state analysis of the 2×2 discarding switch plus the
-    head-of-line saturation law — when no simulated result exists at
-    all.
-
-Every non-``fresh``/-``cached`` payload carries ``degraded: true`` so a
-client can always tell what it got.
+A finished job was answered one of two ways, recorded as its
+``source``: ``fresh`` (a simulation actually ran for it) or ``cached``
+(an exact-key hit, bit-identical to what a fresh run would produce
+under the current source tree).  A job that could not be simulated ends
+``failed`` with a structured ``error``; there is no third kind of
+answer.
 """
 
 from __future__ import annotations
@@ -39,22 +24,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cache.keys import cache_key
-from repro.utils.digest import digest_json
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "DEGRADATION_LADDER",
-    "JOB_CODEC",
-    "JobRecord",
-    "JobSpec",
-    "analytic_prediction",
-]
+__all__ = ["JOB_CODEC", "JobRecord", "JobSpec"]
 
 #: Cache codec under which completed job payloads are stored (plain JSON).
 JOB_CODEC = "json"
-
-#: The service's answer-quality ladder, best first.
-DEGRADATION_LADDER = ("fresh", "cached", "stale", "analytic")
 
 
 @dataclass(frozen=True)
@@ -143,14 +118,6 @@ class JobSpec:
         """
         return cache_key("service", JOB_CODEC, self.payload())
 
-    def stale_key(self) -> str:
-        """Spec identity *without* the source fingerprint.
-
-        Used by the stale rung of the degradation ladder: "the last
-        result anyone computed for this request, under any source tree".
-        """
-        return digest_json(self.payload())
-
 
 _JOB_IDS = itertools.count(1)
 
@@ -163,7 +130,7 @@ class JobRecord:
     key: str
     id: str = field(default_factory=lambda: f"job-{next(_JOB_IDS)}")
     status: str = "queued"  # queued | running | done | failed
-    #: How the result was produced: fresh | cached | stale | analytic.
+    #: How the result was produced: fresh | cached.
     source: str = "fresh"
     #: Number of requests answered by this record (1 + coalesced ones).
     requests: int = 1
@@ -192,42 +159,3 @@ class JobRecord:
         if self.error is not None:
             document["error"] = self.error
         return document
-
-
-def analytic_prediction(spec: JobSpec) -> dict[str, Any]:
-    """Millisecond-fast :mod:`repro.markov` stand-in for a simulated result.
-
-    The bottom rung of the degradation ladder: exact 2×2 discarding-
-    switch steady states for the paper's four buffer architectures at a
-    representative operating point, plus the head-of-line saturation
-    law for the radices the experiments sweep.  Not a substitute for the
-    requested experiment — a principled estimate served in place of a
-    refusal, and tagged as such.
-    """
-    from repro.markov.analysis import analyze_switch
-    from repro.markov.theory import HOL_ASYMPTOTE, hol_saturation_throughput
-
-    kinds = ("FIFO", "DAMQ", "SAMQ", "SAFC")
-    point = {"slots": 4, "traffic_rate": 0.5, "num_ports": 2}
-    steady = {}
-    for kind in kinds:
-        state = analyze_switch(kind, 4, 0.5, 2)
-        steady[kind] = {
-            "discard_probability": state.discard_probability,
-            "throughput": state.throughput,
-        }
-    return {
-        "model": "markov",
-        "experiment": spec.experiment,
-        "operating_point": point,
-        "steady_state_2x2": steady,
-        "hol_saturation_throughput": {
-            str(n): hol_saturation_throughput(n) for n in (2, 4, 8)
-        },
-        "hol_asymptote": HOL_ASYMPTOTE,
-        "note": (
-            "analytic Markov-model prediction served because simulation "
-            "capacity was unavailable; not the requested experiment's "
-            "simulated tables"
-        ),
-    }

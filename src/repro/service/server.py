@@ -16,12 +16,11 @@ lives:
   .SupervisedPool`: each experiment's grid points shard across worker
   processes under heartbeat monitoring, per-attempt deadlines, and
   bounded, backed-off retries that resume from checkpoints.
-* **Degradation** is governed by a :class:`~repro.service.breaker
-  .CircuitBreaker` over job outcomes.  While it is open the service
-  never refuses: it walks the ladder of :mod:`repro.service.jobs` —
-  exact cache hit, stale-but-marked result, millisecond analytic
-  Markov prediction — and tags every rung below ``cached`` with
-  ``degraded: true``.
+* **Failure** is reported, never papered over: every answer is a fresh
+  simulation, an exact-key cache hit, or a ``failed`` job whose
+  ``error`` names the exception type, message, attempts and resumable
+  checkpoint (a task's retry budget spent, or the experiment raised).
+  A failed job is unindexed, so resubmitting the spec retries it.
 
 The HTTP layer is deliberately small (stdlib asyncio, HTTP/1.1,
 ``Connection: close``): the service's value is the supervision and the
@@ -32,8 +31,8 @@ Endpoints::
     POST /v1/jobs               {"experiment": "figure3", "quick": true,
                                  "seed": 1988, "wait": false}
     GET  /v1/jobs/<id>          job status / result document
-    GET  /v1/health             liveness + breaker state
-    GET  /v1/stats              queue, pool, breaker, cache counters
+    GET  /v1/health             liveness + worker count
+    GET  /v1/stats              queue, pool, cache counters
     GET  /v1/metrics            repro.telemetry metrics document
 """
 
@@ -52,14 +51,8 @@ from typing import Any
 from repro.cache.store import ResultCache
 from repro.errors import ConfigurationError
 from repro.service.backoff import retry_after
-from repro.service.breaker import CircuitBreaker
 from repro.service.chaos import ChaosPolicy
-from repro.service.jobs import (
-    JOB_CODEC,
-    JobRecord,
-    JobSpec,
-    analytic_prediction,
-)
+from repro.service.jobs import JOB_CODEC, JobRecord, JobSpec
 from repro.service.supervisor import SupervisedPool, SupervisorConfig
 from repro.telemetry.metrics import METRICS_VERSION, MetricsRegistry
 
@@ -102,9 +95,6 @@ class ServiceConfig:
     checkpoint_every: int = 500
     #: Per-attempt wall-clock deadline for one grid point, seconds.
     task_deadline: float = 120.0
-    #: Consecutive job failures that trip the breaker, and its cooldown.
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 10.0
     #: Optional seeded fault injection for the worker pool.
     chaos: ChaosPolicy | None = None
 
@@ -128,7 +118,7 @@ class Response:
 
 
 class SimulationService:
-    """Protocol-agnostic core: admission, dedup, execution, degradation.
+    """Protocol-agnostic core: admission, dedup, execution, failure.
 
     Thread-safety model: HTTP handlers call :meth:`submit` and the read
     endpoints from executor threads; one dedicated runner thread executes
@@ -160,14 +150,9 @@ class SimulationService:
             chaos=self.config.chaos,
             metrics=self.metrics,
         )
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-        )
         self._lock = threading.RLock()
         self._by_id: dict[str, JobRecord] = {}
         self._by_key: dict[str, JobRecord] = {}
-        self._stale: dict[str, dict[str, Any]] = {}
         self._queue: Queue[JobRecord | None] = Queue(
             maxsize=self.config.queue_limit
         )
@@ -206,7 +191,7 @@ class SimulationService:
     # ------------------------------------------------------------------
 
     def submit(self, payload: Any) -> Response:
-        """Admit, dedup, degrade or reject one job request."""
+        """Admit, dedup or reject one job request."""
         try:
             spec = JobSpec.from_payload(payload)
         except ConfigurationError as exc:
@@ -221,14 +206,7 @@ class SimulationService:
                     # Answered from memory: a zero-simulation cache hit
                     # (the response record shares the stored payload but
                     # reports this request's cost, which is nothing).
-                    clone = self._adopt(
-                        spec,
-                        key,
-                        record.result,
-                        status="done",
-                        source="cached",
-                        index=False,
-                    )
+                    clone = self._adopt(spec, key, record.result, index=False)
                     self._count_job("memory")
                     return Response(200, record=clone, cache_hit=True)
                 # In flight: this request rides the existing job.
@@ -236,13 +214,9 @@ class SimulationService:
                 return Response(200, record=record)
             stored = self._job_cache.get(key)
             if stored is not None:
-                record = self._adopt(
-                    spec, key, stored, status="done", source="cached"
-                )
+                record = self._adopt(spec, key, stored)
                 self._count_job("cached")
                 return Response(200, record=record, cache_hit=True)
-            if not self.breaker.allow():
-                return self._degraded(spec)
             record = JobRecord(spec=spec, key=key)
             try:
                 self._queue.put_nowait(record)
@@ -264,45 +238,20 @@ class SimulationService:
             self._count_job("admitted")
             return Response(202, record=record)
 
-    def _degraded(self, spec: JobSpec) -> Response:
-        """Breaker open: answer from the ladder, never refuse."""
-        headers = {"Retry-After": f"{round(self.breaker.retry_after, 3)}"}
-        stale = self._stale.get(spec.stale_key())
-        if stale is not None:
-            result = dict(stale)
-            result["degraded"] = True
-            result["mode"] = "stale"
-            source = "stale"
-        else:
-            result = {
-                "experiment": spec.experiment,
-                "prediction": analytic_prediction(spec),
-                "degraded": True,
-                "mode": "analytic",
-            }
-            source = "analytic"
-        record = self._adopt(
-            spec, spec.key(), result, status="done", source=source, index=False
-        )
-        self._count_job(source)
-        return Response(200, record=record, headers=headers, cache_hit=True)
-
     def _adopt(
         self,
         spec: JobSpec,
         key: str,
         result: dict[str, Any],
-        status: str,
-        source: str,
         index: bool = True,
     ) -> JobRecord:
-        """Register a record that is born terminal (hit or degraded).
+        """Register a ``cached`` record, born done (zero simulations).
 
-        Degraded records are *not* indexed by key (``index=False``): they
-        must never satisfy a later request that fresh capacity could.
+        Memory hits are *not* indexed by key (``index=False``): the
+        record already in the index keeps answering for the key.
         """
         record = JobRecord(
-            spec=spec, key=key, status=status, source=source, result=result
+            spec=spec, key=key, status="done", source="cached", result=result
         )
         record.finished.set()
         self._by_id[record.id] = record
@@ -318,15 +267,8 @@ class SimulationService:
         return Response(200, record=record)
 
     def health(self) -> Response:
-        breaker = self.breaker.snapshot()
-        status = "ok" if breaker["state"] == CircuitBreaker.CLOSED else "degraded"
         return Response(
-            200,
-            body={
-                "status": status,
-                "breaker": breaker["state"],
-                "workers": self.config.workers,
-            },
+            200, body={"status": "ok", "workers": self.config.workers}
         )
 
     def stats(self) -> Response:
@@ -342,7 +284,6 @@ class SimulationService:
                 "jobs": jobs,
                 "queue_depth": self._queue.qsize(),
                 "queue_limit": self.config.queue_limit,
-                "breaker": self.breaker.snapshot(),
                 "pool": self.pool.stats(),
                 "job_cache": {
                     "entries": job_cache.entries,
@@ -415,7 +356,6 @@ class SimulationService:
                 backend=spec.backend,
             )
         except Exception as exc:
-            self.breaker.record_failure()
             with self._lock:
                 record.status = "failed"
                 record.tasks_executed = executed
@@ -440,12 +380,10 @@ class SimulationService:
             "seed": spec.seed,
             "report": result.render(),
         }
-        self.breaker.record_success()
         with self._lock:
             self._job_cache.put(record.key, "service", JOB_CODEC, payload)
             self._job_cache.flush()
             self._sim_cache.flush()
-            self._stale[spec.stale_key()] = dict(payload)
             record.result = payload
             record.status = "done"
             record.source = "fresh"

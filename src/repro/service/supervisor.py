@@ -381,13 +381,6 @@ class SupervisedPool:
                 ),
             }
 
-    @property
-    def saturated(self) -> bool:
-        """Whether every worker is busy and work is queued behind them."""
-        with self._lock:
-            busy = all(w.busy_uid is not None for w in self._workers)
-            return busy and bool(self._ready or self._waiting)
-
     # ------------------------------------------------------------------
     # Supervision internals (all called with the lock held unless noted)
     # ------------------------------------------------------------------

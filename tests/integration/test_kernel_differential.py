@@ -17,8 +17,6 @@ job runs the same grid at full quick fidelity.
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.analysis.counterexample import Counterexample
 from repro.kernel.differential import (
     DIVERGENCE_PROP,

@@ -1,4 +1,4 @@
-"""End-to-end service tests: HTTP, dedup, backpressure, degradation, chaos.
+"""End-to-end service tests: HTTP, dedup, backpressure, failure, chaos.
 
 The heavyweight acceptance test of the PR: an experiment submitted to a
 chaos-ridden service — workers killed mid-simulation, resumed from
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.runner as runner
+from repro.errors import WorkerFailedError
 from repro.experiments.runner import run_experiment
 from repro.service import (
     ChaosPolicy,
@@ -18,7 +20,6 @@ from repro.service import (
     SimulationService,
     serve_in_thread,
 )
-from repro.service.jobs import JobSpec
 
 #: Cheap grid experiment (runs parallel_simulate, ~0.1 s quick).
 FAST_GRID = "ext-slotsize"
@@ -40,8 +41,7 @@ def client(handle):
 class TestHttpSurface:
     def test_health(self, client):
         document = client.health()
-        assert document["status"] in ("ok", "degraded")
-        assert document["workers"] == 2
+        assert document == {"status": "ok", "workers": 2}
 
     def test_submit_wait_then_cache_hit(self, client):
         status, first = client.submit(FAST_GRID, wait=True)
@@ -96,7 +96,7 @@ class TestHttpSurface:
     def test_stats_and_metrics_documents(self, client):
         stats = client.stats()
         assert stats["queue_limit"] == 4
-        assert "pool" in stats and "breaker" in stats
+        assert "pool" in stats and "jobs" in stats
         document = client.metrics()
         # The document must be loadable by repro.telemetry's report path.
         from repro.telemetry.metrics import MetricsRegistry
@@ -143,56 +143,50 @@ class TestAdmissionControl:
             service.close()
 
 
-class TestDegradationLadder:
-    def test_breaker_open_serves_analytic_prediction(self, handle, client):
-        breaker = handle.service.breaker
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        try:
-            status, document = client.submit("figure3", seed=424242, wait=True)
-            assert status == 200
-            assert document["source"] == "analytic"
-            result = document["result"]
-            assert result["degraded"] is True
-            assert result["mode"] == "analytic"
-            assert result["prediction"]["model"] == "markov"
-        finally:
-            breaker.record_success()
+class TestFailedJob:
+    """The one failure path: a structured ``failed`` job, then a retry."""
 
-    def test_breaker_open_prefers_stale_over_analytic(self, handle, client):
-        service = handle.service
-        spec = JobSpec.from_payload({"experiment": "figure1", "seed": 777})
-        # A result computed under some older source tree: present in the
-        # stale map, absent from the exact-key cache.
-        service._stale[spec.stale_key()] = {
-            "experiment": "figure1",
-            "report": "old but honest",
-        }
-        breaker = service.breaker
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        try:
-            status, document = client.submit("figure1", seed=777, wait=True)
-            assert status == 200
-            assert document["source"] == "stale"
-            assert document["result"]["degraded"] is True
-            assert document["result"]["report"] == "old but honest"
-        finally:
-            breaker.record_success()
+    def test_failure_is_reported_and_resubmit_retries(
+        self, monkeypatch, tmp_path
+    ):
+        real = runner.run_experiment
+        calls = []
 
-    def test_exact_cache_hit_wins_even_when_breaker_open(self, handle, client):
-        status, fresh = client.submit(FAST_GRID, wait=True)
-        assert status == 200
-        breaker = handle.service.breaker
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        try:
-            status, document = client.submit(FAST_GRID, wait=True)
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise WorkerFailedError(
+                    "task gave up", task_id="t", attempts=4
+                )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_experiment", fail_once)
+        with serve_in_thread(
+            ServiceConfig(port=0, workers=1, data_dir=tmp_path)
+        ) as live:
+            client = ServiceClient(live.url)
+            status, failed = client.submit(FAST_GRID, wait=True)
             assert status == 200
-            assert document.get("cache_hit") is True
-            assert not document["result"].get("degraded")
-        finally:
-            breaker.record_success()
+            assert failed["status"] == "failed"
+            assert "result" not in failed
+            assert failed["error"]["type"] == "WorkerFailedError"
+            assert failed["error"]["message"] == "task gave up"
+            assert failed["error"]["attempts"] == 4
+
+            status, retried = client.submit(FAST_GRID, wait=True)
+            assert status == 200
+            assert retried["id"] != failed["id"]
+            assert retried["status"] == "done"
+            assert retried["source"] == "fresh"
+            assert retried["tasks_executed"] > 0
+            assert retried["result"]["report"] == real(
+                FAST_GRID, quick=True
+            ).render()
+            jobs = client.stats()["jobs"]
+            assert jobs["admitted"] == 2
+            assert jobs["failed"] == 1
+            assert jobs["fresh"] == 1
+        assert len(calls) == 2
 
 
 class TestChaosByteIdentity:

@@ -12,10 +12,6 @@ one struct-of-arrays kernel must leave each configuration's results
 identical to running it alone.
 """
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -64,9 +64,3 @@ class TestSharedConsumers:
         from repro.cache.keys import canonical_json as reexported
 
         assert reexported is canonical_json
-
-    def test_job_stale_key_is_digest_json_of_payload(self):
-        from repro.service.jobs import JobSpec
-
-        spec = JobSpec(experiment="table2", quick=True, seed=3)
-        assert spec.stale_key() == digest_json(spec.payload())

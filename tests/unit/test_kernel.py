@@ -1,8 +1,5 @@
-"""Unit tests for the :mod:`repro.kernel` backend abstraction.
-
-Backend *selection* is pure policy — no numpy required — so most of
-this file runs in the minimal tier-1 environment.  The handful of tests
-that construct the vectorized kernel itself skip when numpy is absent.
+"""Unit tests for the :mod:`repro.kernel` backend abstraction: backend
+selection policy and the reasons a config stays off the numpy kernel.
 """
 
 import pytest
@@ -14,7 +11,6 @@ from repro.kernel.base import (
     DEFAULT_BACKEND,
     make_kernel,
     normalize_backend,
-    numpy_available,
     numpy_unsupported_reason,
     requested_backend,
     resolve_backend,
@@ -59,8 +55,6 @@ class TestResolveBackend:
         assert resolve_backend(NetworkConfig(**QUICK)) == DEFAULT_BACKEND
 
     def test_env_preference_applies_softly(self, monkeypatch):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
         monkeypatch.setenv(BACKEND_ENV, "numpy")
         config = NetworkConfig(**QUICK)
         assert resolve_backend(config) == "numpy"
@@ -79,8 +73,6 @@ class TestResolveBackend:
             resolve_backend(NetworkConfig(**QUICK), "numpy", **flags)
 
     def test_forced_numpy_on_unsupported_config_raises(self):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
         config = NetworkConfig(packet_size=4, **QUICK)
         with pytest.raises(ConfigurationError):
             resolve_backend(config, "numpy")
@@ -101,8 +93,6 @@ class TestResolveBackend:
 
 class TestUnsupportedReason:
     def test_paper_grid_is_supported(self):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
         for kind in ("FIFO", "SAMQ", "SAFC", "DAMQ"):
             for protocol in (Protocol.BLOCKING, Protocol.DISCARDING):
                 config = NetworkConfig(
@@ -121,8 +111,6 @@ class TestUnsupportedReason:
         ],
     )
     def test_extension_features_named(self, overrides, fragment):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
         reason = numpy_unsupported_reason(NetworkConfig(**overrides, **QUICK))
         assert reason is not None and fragment in reason
 
@@ -141,15 +129,12 @@ class TestArchZooGating:
         ],
     )
     def test_unsupported_reason_names_the_kind(self, overrides, fragment):
-        if not numpy_available():
-            pytest.skip("numpy not installed")
         reason = numpy_unsupported_reason(
             NetworkConfig(**overrides, **self.ARCH)
         )
         assert reason is not None and fragment in reason
 
     def test_forced_numpy_rejects_arch_buffers(self):
-        pytest.importorskip("numpy")
         config = NetworkConfig(buffer_kind="CQ", **self.ARCH)
         with pytest.raises(ConfigurationError, match="CQ"):
             make_kernel(config, "numpy")
@@ -157,7 +142,6 @@ class TestArchZooGating:
             resolve_backend(config, "numpy")
 
     def test_soft_preference_falls_back_to_reference(self, monkeypatch):
-        pytest.importorskip("numpy")
         monkeypatch.setenv(BACKEND_ENV, "numpy")
         arch = NetworkConfig(buffer_kind="DAMQ-RSV", **self.ARCH)
         assert resolve_backend(arch) == "reference"
@@ -182,12 +166,10 @@ class TestMakeKernel:
         assert result.to_state() == direct.to_state()
 
     def test_numpy_kernel_construction_guarded(self):
-        pytest.importorskip("numpy")
         kernel = make_kernel(NetworkConfig(**QUICK), "numpy")
         assert type(kernel).__name__ == "NumpyKernel"
 
     def test_unsupported_config_raises_for_numpy(self):
-        pytest.importorskip("numpy")
         with pytest.raises(ConfigurationError):
             make_kernel(NetworkConfig(packet_size=2, **QUICK), "numpy")
 

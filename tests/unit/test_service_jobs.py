@@ -1,15 +1,11 @@
-"""Tests for job specs, the degradation ladder and chaos draws."""
+"""Tests for job specs, job records and chaos draws."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.chaos import ChaosPolicy
-from repro.service.jobs import (
-    DEGRADATION_LADDER,
-    JobRecord,
-    JobSpec,
-    analytic_prediction,
-)
+from repro.service.jobs import JobRecord, JobSpec
+from repro.utils.digest import digest_json
 
 
 class TestJobSpec:
@@ -47,20 +43,11 @@ class TestJobSpec:
     def test_key_folds_in_source_fingerprint(self):
         # Same spec -> same key; the key is a cache_key, so it embeds the
         # source fingerprint (shape asserted indirectly: differs from the
-        # fingerprint-free stale key).
+        # fingerprint-free digest of the spec alone).
         spec = JobSpec(experiment="table2")
         assert spec.key() == JobSpec(experiment="table2").key()
-        assert spec.key() != spec.stale_key()
-
-    def test_stale_key_is_spec_identity_only(self):
-        assert (
-            JobSpec(experiment="table2").stale_key()
-            == JobSpec(experiment="table2").stale_key()
-        )
-        assert (
-            JobSpec(experiment="table2").stale_key()
-            != JobSpec(experiment="table2", seed=3).stale_key()
-        )
+        assert spec.key() != digest_json(spec.payload())
+        assert spec.key() != JobSpec(experiment="table2", seed=3).key()
 
     def test_backend_field_parses_and_normalizes(self):
         spec = JobSpec.from_payload(
@@ -78,7 +65,7 @@ class TestJobSpec:
 
     def test_backend_excluded_from_canonical_payload_and_key(self):
         # Backends produce byte-identical results, so jobs differing only
-        # in backend must coalesce: same payload, same key, same stale key.
+        # in backend must coalesce: same payload, same key.
         plain = JobSpec.from_payload({"experiment": "table3", "quick": True})
         forced = JobSpec.from_payload(
             {"experiment": "table3", "quick": True, "backend": "numpy"}
@@ -86,7 +73,6 @@ class TestJobSpec:
         assert forced.payload() == plain.payload()
         assert "backend" not in forced.payload()
         assert forced.key() == plain.key()
-        assert forced.stale_key() == plain.stale_key()
 
 
 class TestJobRecord:
@@ -113,25 +99,6 @@ class TestJobRecord:
         spec = JobSpec(experiment="table1")
         ids = {JobRecord(spec=spec, key="k").id for _ in range(10)}
         assert len(ids) == 10
-
-
-class TestDegradation:
-    def test_ladder_order(self):
-        assert DEGRADATION_LADDER == ("fresh", "cached", "stale", "analytic")
-
-    def test_analytic_prediction_shape(self):
-        prediction = analytic_prediction(JobSpec(experiment="figure3"))
-        assert prediction["model"] == "markov"
-        assert set(prediction["steady_state_2x2"]) == {
-            "FIFO",
-            "DAMQ",
-            "SAMQ",
-            "SAFC",
-        }
-        for state in prediction["steady_state_2x2"].values():
-            assert 0.0 <= state["discard_probability"] <= 1.0
-            assert 0.0 < state["throughput"] <= 1.0
-        assert "2" in prediction["hol_saturation_throughput"]
 
 
 class TestChaosPolicy:
