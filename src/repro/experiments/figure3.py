@@ -9,7 +9,8 @@ to the right of the FIFO's.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentResult, sim_cycles
-from repro.network import NetworkConfig, latency_throughput_curve
+from repro.network import NetworkConfig
+from repro.network.saturation import latency_throughput_curves
 from repro.switch.flow_control import Protocol
 from repro.utils.tables import TextTable, format_value
 
@@ -70,17 +71,20 @@ def run(
         traffic_kind="uniform",
         seed=seed,
     )
-    curves = {}
+    curves = dict(
+        zip(
+            _KINDS,
+            latency_throughput_curves(
+                [base.with_overrides(buffer_kind=kind) for kind in _KINDS],
+                loads, warmup, measure, jobs=jobs,
+            ),
+        )
+    )
     table = TextTable(
         "Curve points",
         ["Buffer", "offered", "delivered", "latency (cycles)", "±95%"],
     )
-    for kind in _KINDS:
-        curve = latency_throughput_curve(
-            base.with_overrides(buffer_kind=kind), loads, warmup, measure,
-            jobs=jobs,
-        )
-        curves[kind] = curve
+    for kind, curve in curves.items():
         for point in curve:
             table.add_row(
                 [

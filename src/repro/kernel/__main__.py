@@ -30,13 +30,16 @@ from repro.network.simulator import NetworkConfig
 from repro.switch.flow_control import Protocol
 
 #: The CI smoke grid: one fault-free configuration per buffer kind,
-#: covering both flow-control protocols and both arbiter priorities
-#: across the four rows.
+#: covering both flow-control protocols and both arbiter priorities,
+#: plus a saturated hot-spot FIFO: there a downstream FIFO receives
+#: packets out of creation order, so its read order must follow arrival,
+#: not packet id.
 CI_GRID = (
-    ("FIFO", Protocol.BLOCKING, "smart", 0.5),
-    ("DAMQ", Protocol.BLOCKING, "dumb", 0.7),
-    ("SAMQ", Protocol.DISCARDING, "smart", 0.5),
-    ("SAFC", Protocol.DISCARDING, "dumb", 0.5),
+    ("FIFO", Protocol.BLOCKING, "smart", "uniform", 0.5),
+    ("DAMQ", Protocol.BLOCKING, "dumb", "uniform", 0.7),
+    ("SAMQ", Protocol.DISCARDING, "smart", "uniform", 0.5),
+    ("SAFC", Protocol.DISCARDING, "dumb", "uniform", 0.5),
+    ("FIFO", Protocol.BLOCKING, "smart", "hotspot", 0.9),
 )
 
 
@@ -48,11 +51,11 @@ def _diff_main(args: argparse.Namespace) -> int:
                 slots_per_buffer=4,
                 protocol=protocol,
                 arbiter_kind=arbiter,
-                traffic_kind="uniform",
+                traffic_kind=traffic,
                 offered_load=load,
                 seed=args.seed,
             )
-            for kind, protocol, arbiter, load in CI_GRID
+            for kind, protocol, arbiter, traffic, load in CI_GRID
         ]
     else:
         configs = [
@@ -137,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         "--ci",
         action="store_true",
         help="run the CI smoke grid (one config per buffer kind, both "
-        "protocols and both arbiter priorities covered)",
+        "protocols and both arbiter priorities covered, plus a "
+        "saturated hot-spot FIFO)",
     )
     diff.add_argument("--kind", default="DAMQ")
     diff.add_argument("--slots", type=int, default=4)

@@ -4,12 +4,15 @@ Where the reference simulator advances one Python object at a time, this
 kernel stores the whole network as a handful of integer arrays and
 advances every switch of a stage per array operation:
 
-* **Queue rings** — each input buffer's per-destination queues live in a
-  ring array ``ring[stage, switch, input, output, slot]`` of packet ids
-  with head/length registers (the FIFO keeps a single ring per input
-  plus the stored local output of every entry).  Packet attributes
-  (destination, creation and injection clocks) live in flat pools
-  indexed by packet id.
+* **Queue rings** — every input buffer, whatever its kind, stores its
+  packets in per-destination queues: a ring array ``ring[stage, switch,
+  input, output, slot]`` of packet ids with head/length registers.  The
+  kinds differ only in how the slot pool is split (one partition per
+  output for SAMQ/SAFC, the whole buffer per queue for DAMQ/FIFO) and in
+  which heads may be read: a FIFO is the case where only the oldest
+  head may leave, found by the arrival cycle stamped on each ring slot.
+  Packet attributes (destination, creation and injection clocks) live
+  in flat pools indexed by packet id.
 * **Vectorized arbitration** — the reference arbiter's
   longest-unblocked-queue scan is re-expressed as an argmax over a
   composite key ``(length << 44) | (stale << 4) | (radix-1-output)``
@@ -25,11 +28,11 @@ advances every switch of a stage per array operation:
   decodes each source's raw PCG64 stream up front and injection becomes
   a vectorized countdown against per-source attempt schedules.
 * **Simulation batching** — the quick/full experiment grids run many
-  *structurally identical* configurations (same topology, buffer kind,
-  capacity and protocol; different loads, seeds, arbiter schemes or
-  traffic patterns).  :meth:`NumpyKernel.batch` fuses ``B`` such
-  simulations into one kernel by widening the stage axis: virtual stage
-  ``u = s * B + b`` holds network stage ``s`` of simulation ``b``.
+  *structurally identical* configurations (same topology, capacity and
+  clocking; different buffer kinds, protocols, loads, seeds, arbiter
+  schemes or traffic patterns).  :meth:`NumpyKernel.batch` fuses ``B``
+  such simulations into one kernel by widening the stage axis: virtual
+  stage ``u = s * B + b`` holds network stage ``s`` of simulation ``b``.
   Simulations never interconnect — the inter-stage wiring offset simply
   becomes ``+B`` — so every array op amortizes its fixed dispatch cost
   over the whole batch, which is where the speedup over the reference
@@ -84,21 +87,25 @@ _STALE_SHIFT = 4
 #: candidates simply never win.
 _VALID = 1 << _LENGTH_SHIFT
 
+#: Measured cycles whose meter samples are deferred before a flush.
+_FLUSH_CYCLES = 256
+
+#: Arrival stamp of an empty queue: later than any real arrival, so an
+#: oldest-head search never picks it.
+_NEVER = np.iinfo(np.int64).max
+
 
 def batch_group_key(config: NetworkConfig) -> tuple[Any, ...]:
     """Structural batching key: equal keys may share one kernel.
 
     Configurations in one batch must agree on everything that shapes the
-    arrays — topology, buffer *layout* (the FIFO's shared-ring storage
-    versus the per-destination rings of DAMQ/SAMQ/SAFC), slot count,
-    clocking and effective source queue depth.  Everything else is a
-    per-simulation property: offered load, seed, arbiter scheme,
-    traffic pattern, protocol, flow-control fidelity, and the exact
-    buffer kind within the ring layout — which is how the paper's whole
-    experiment grid collapses into two kernels.
+    arrays — topology, slot count, clocking and effective source queue
+    depth.  Everything else is a per-simulation property: offered load,
+    seed, arbiter scheme, traffic pattern, protocol, flow-control
+    fidelity and buffer kind (all four kinds share one ring layout) —
+    which is how each of the paper's experiment grids runs as one
+    kernel.
     """
-    kind = config.buffer_kind.upper()
-    layout = "FIFO" if kind == "FIFO" else "ring"
     # Mirrors the reference's exact predicate (an enum identity test):
     # a non-enum protocol value disables discard-at-injection there too.
     discard_at_injection = (
@@ -110,7 +117,6 @@ def batch_group_key(config: NetworkConfig) -> tuple[Any, ...]:
     return (
         config.num_ports,
         config.radix,
-        layout,
         config.slots_per_buffer,
         discard_at_injection,
         config.cycle_clocks,
@@ -165,17 +171,7 @@ class NumpyKernel(SimKernel):
                 "the numpy backend's arbitration key packs the output "
                 "index into 4 bits; radix > 16 needs the reference backend"
             )
-        kinds = []
-        for cfg in configs:
-            kind = cfg.buffer_kind.upper()
-            if kind not in ("FIFO", "DAMQ", "SAMQ", "SAFC"):
-                raise ConfigurationError(
-                    f"unknown buffer kind {cfg.buffer_kind!r}"
-                )
-            kinds.append(kind)
-        self.kinds = kinds
-        self.kind = kinds[0]
-        self.layout = "FIFO" if kinds[0] == "FIFO" else "ring"
+        self.kinds = kinds = [cfg.buffer_kind for cfg in configs]
         self.C = config.slots_per_buffer
         cq_list = []
         for kind in kinds:
@@ -197,36 +193,24 @@ class NumpyKernel(SimKernel):
         reads_list = [self.R if kind == "SAFC" else 1 for kind in kinds]
         self._single_read = all(reads == 1 for reads in reads_list)
         self.max_reads = max(reads_list)
-        smart_flags = []
-        for cfg in configs:
-            scheme = cfg.arbiter_kind.lower()
-            if scheme not in ("smart", "dumb"):
-                raise ConfigurationError(
-                    f"unknown arbiter kind {cfg.arbiter_kind!r}"
-                )
-            smart_flags.append(scheme == "smart")
+        smart_flags = [cfg.arbiter_kind == "smart" for cfg in configs]
         self._smart_all = all(smart_flags)
         self._smart_any = any(smart_flags)
         self.clk = config.cycle_clocks
         blocking_flags = [
             cfg.protocol is Protocol.BLOCKING for cfg in configs
         ]
-        self._blocking_b = blocking_flags
         self._blocking_any = any(blocking_flags)
         self._blocking_all = all(blocking_flags)
-        self.blocking = blocking_flags[0]
         conservative_flags = [
             blocking_flags[b]
             and cfg.flow_control_fidelity == "conservative"
             and kinds[b] in ("SAMQ", "SAFC")
             for b, cfg in enumerate(configs)
         ]
-        self.conservative = conservative_flags[0]
-        self._conservative_b = conservative_flags
         # Buffer-level room/blocked semantics (whole buffer full) versus
         # queue-level (the destination's partition full).
         buflevel = [kind in ("FIFO", "DAMQ") for kind in kinds]
-        self._buflevel_b = buflevel
         self._buflevel_all = all(buflevel)
         self._buflevel_none = not any(buflevel)
         self._discard_at_injection = (
@@ -242,9 +226,8 @@ class NumpyKernel(SimKernel):
             )
             for cfg in configs
         ]
-        self.pattern = self.patterns[0]
 
-        B, N, R, S, W, C = self.B, self.N, self.R, self.S, self.W, self.C
+        B, N, R, S, W = self.B, self.N, self.R, self.S, self.W
         Cq = self.CqW
         SV = self.SV
         i64 = np.int64
@@ -291,19 +274,18 @@ class NumpyKernel(SimKernel):
         ) * R + self.entry_i
 
         # Buffer state.  Queue rings hold packet ids; per-queue capacity
-        # is the whole buffer for the dynamically shared kinds and one
-        # partition for the statically partitioned ones.
-        if self.layout == "FIFO":
-            self.fring = np.zeros((SV, W, R, C), dtype=i64)
-            self.fdest = np.zeros((SV, W, R, C), dtype=i64)
-            self.fhead = np.zeros((SV, W, R), dtype=i64)
-            self.flen = np.zeros((SV, W, R), dtype=i64)
-            self.ring = self.qhead = self.qlen = None
-        else:
-            self.ring = np.zeros((SV, W, R, R, Cq), dtype=i64)
-            self.qhead = np.zeros((SV, W, R, R), dtype=i64)
-            self.qlen = np.zeros((SV, W, R, R), dtype=i64)
-            self.fring = self.fdest = self.fhead = self.flen = None
+        # is the whole buffer for the dynamically shared kinds (DAMQ,
+        # FIFO) and one partition for the statically partitioned ones.
+        self.ring = np.zeros((SV, W, R, R, Cq), dtype=i64)
+        self.qhead = np.zeros((SV, W, R, R), dtype=i64)
+        self.qlen = np.zeros((SV, W, R, R), dtype=i64)
+        # Cycle each ring slot's packet was pushed into this buffer.  A
+        # buffer takes at most one push per cycle (entry points and
+        # inter-stage wiring are bijections, and an output forwards one
+        # packet per cycle), so within a buffer the stamp orders packets
+        # by arrival.  Kept per slot, not per packet, so its size does
+        # not grow with the run.
+        self.arrived = np.zeros((SV, W, R, R, Cq), dtype=i64)
         # Occupied slots per input buffer (all kinds).
         self.occb = np.zeros((SV, W, R), dtype=i64)
         # Arbiter fairness state.
@@ -336,6 +318,7 @@ class NumpyKernel(SimKernel):
         self._arr_att: Any = None
         self._dests: Any = None
         self._offsets: Any = None
+        self._first: Any = None
 
         self._cycle = 0
         self.measure_start_clock: int | None = None
@@ -354,6 +337,7 @@ class NumpyKernel(SimKernel):
             np.arange(R, dtype=i64)[None, :] + np.arange(R, dtype=i64)[:, None]
         ) % R
         self._rank_o = np.arange(R - 1, -1, -1, dtype=i64)
+        self._r_ar = np.arange(R, dtype=i64)
         # Mixed smart/dumb batches mask the stale term and the priority
         # advance per simulation; uniform batches skip the masks.
         if self._smart_any and not self._smart_all:
@@ -376,18 +360,23 @@ class NumpyKernel(SimKernel):
         self._prio_flat = self.prio.reshape(-1)
         self._fwd_flat = self.fwd.reshape(-1)
         self._recv_flat = self.recv.reshape(-1)
-        if self.layout == "FIFO":
-            self._fring_flat = self.fring.reshape(-1)
-            self._fdest_flat = self.fdest.reshape(-1)
-            self._fhead_flat = self.fhead.reshape(-1)
-            self._flen_flat = self.flen.reshape(-1)
-            self._ring_flat = self._qhead_flat = self._qlen_flat = None
+        self._ring_flat = self.ring.reshape(-1)
+        self._arrived_flat = self.arrived.reshape(-1)
+        self._qhead_flat = self.qhead.reshape(-1)
+        self._qlen_flat = self.qlen.reshape(-1)
+        # FIFO buffers as flat (vstage, switch, input) addresses, and
+        # their queues as ``[fifo buffer, output]`` queue addresses.
+        fifo_rows = [u for u in range(SV) if kinds[u % B] == "FIFO"]
+        if fifo_rows:
+            self._fifo_bflat = (
+                np.array(fifo_rows, dtype=i64)[:, None] * (W * R)
+                + np.arange(W * R, dtype=i64)
+            ).ravel()
+            self._fifo_qflat = (
+                self._fifo_bflat[:, None] * R + np.arange(R, dtype=i64)
+            )
         else:
-            self._ring_flat = self.ring.reshape(-1)
-            self._qhead_flat = self.qhead.reshape(-1)
-            self._qlen_flat = self.qlen.reshape(-1)
-            self._fring_flat = self._fdest_flat = None
-            self._fhead_flat = self._flen_flat = None
+            self._fifo_bflat = self._fifo_qflat = None
         self._b_grid = np.arange(B, dtype=i64)[:, None, None, None]
         # Mixed-property helpers: per-port / per-virtual-stage expansions
         # of the per-sim capacity, protocol and room-semantics vectors.
@@ -477,33 +466,33 @@ class NumpyKernel(SimKernel):
     def prepare(self, total_cycles: int) -> None:
         if self._plan_attempts >= total_cycles:
             return
-        plans = [decode_arrivals(cfg, total_cycles) for cfg in self.configs]
-        width = max(plan.gaps.shape[1] for plan in plans)
-        gaps = np.full((self.BN, width), GAP_SENTINEL, dtype=np.int64)
-        dests = np.zeros((self.BN, width), dtype=np.int64)
-        offsets = np.zeros((self.BN, width), dtype=np.int64)
-        counts = np.zeros(self.BN, dtype=np.int64)
-        for b, plan in enumerate(plans):
-            rows = slice(b * self.N, (b + 1) * self.N)
-            cols = plan.gaps.shape[1]
-            gaps[rows, :cols] = plan.gaps
-            dests[rows, :cols] = plan.dests
-            offsets[rows, :cols] = plan.offsets
-            counts[rows] = plan.counts
-        # Attempt number (1-based, cumulative) of each arrival; the
-        # sentinel column (and any padding) stays unreachably large.
-        padded = gaps >= GAP_SENTINEL
-        arr_att = np.cumsum(np.where(padded, 0, gaps) + 1, axis=1)
-        arr_att[padded] = GAP_SENTINEL
+        # The tables hold each source's arrivals and the sentinel that
+        # ends them, source after source without padding (sources run at
+        # different loads); source ``p``'s entries start at ``_first[p]``.
+        atts, dests, offsets, counts = [], [], [], []
+        for cfg in self.configs:
+            plan = decode_arrivals(cfg, total_cycles)
+            # Attempt number (1-based, cumulative) of each arrival; the
+            # sentinel stays unreachably large.
+            padded = plan.gaps >= GAP_SENTINEL
+            att = np.cumsum(np.where(padded, 0, plan.gaps) + 1, axis=1)
+            att[padded] = GAP_SENTINEL
+            keep = np.arange(att.shape[1]) <= plan.counts[:, None]
+            atts.append(att[keep])
+            dests.append(plan.dests[keep])
+            offsets.append(plan.offsets[keep])
+            counts.append(plan.counts)
+        sizes = np.concatenate(counts) + 1
+        self._first = np.cumsum(sizes) - sizes
         self._plan_attempts = total_cycles
-        self._arr_att = arr_att
-        self._dests = dests
-        self._offsets = offsets
+        self._arr_att = np.concatenate(atts)
+        self._dests = np.concatenate(dests)
+        self._offsets = np.concatenate(offsets)
         # Re-deriving the plan over a longer horizon reproduces the old
         # prefix exactly, so live cursors (att, next_k) stay valid; only
         # the per-source targets must be re-read from the new table.
-        self.target = arr_att[np.arange(self.BN), self.next_k]
-        stride = int(counts.reshape(self.B, self.N).sum(axis=1).max()) + 1
+        self.target = self._arr_att[self._first + self.next_k]
+        stride = int((sizes - 1).reshape(self.B, self.N).sum(axis=1).max()) + 1
         self._grow_pools(stride)
 
     def _grow_pools(self, stride: int) -> None:
@@ -519,12 +508,7 @@ class NumpyKernel(SimKernel):
             return
         if old and self.B > 1:
             diff = stride - old
-            arrays = (
-                (self.fring, self.sring)
-                if self.layout == "FIFO"
-                else (self.ring, self.sring)
-            )
-            for array in arrays:
+            for array in (self.ring, self.sring):
                 array += (array // old) * diff
         for attr in ("pk_dest", "pk_created", "pk_injected"):
             pool = getattr(self, attr)
@@ -557,6 +541,10 @@ class NumpyKernel(SimKernel):
         if self.measure_start_clock is not None:
             # Snapshot now, fold into the occupancy stats at flush time.
             self._occ_pend.append(self.stage_slots.copy())
+            if len(self._occ_pend) == _FLUSH_CYCLES:
+                # Fold in bounded chunks, so deferred samples of a wide
+                # batch never pile up over a whole run.
+                self._flush_meters()
         self._cycle += 1
 
     def finish(
@@ -751,24 +739,37 @@ class NumpyKernel(SimKernel):
         """Cycle-start candidate lengths and arbitration keys, stacked.
 
         ``ql4`` is the candidate length register ``[vstage, switch,
-        input, output]`` — the live ``qlen`` array for the ring layout,
-        a freshly scattered register for FIFO — and ``key`` the
-        composite arbitration key, materialized before any pop.  Every
-        stage's candidates are fixed at cycle start (upstream pushes
-        land only after it arbitrates; downstream pops never touch its
-        queues), so one stacked construction serves both the stacked
-        fast path and the sequenced blocking walk.
+        input, output]`` — the live ``qlen`` array, or a copy with every
+        FIFO buffer reduced to its one readable queue when the batch
+        holds a FIFO — and ``key`` the composite arbitration key,
+        materialized before any pop.  Every stage's candidates are fixed
+        at cycle start (upstream pushes land only after it arbitrates;
+        downstream pops never touch its queues), so one stacked
+        construction serves both the stacked fast path and the
+        sequenced blocking walk.
         """
         R, W, SV = self.R, self.W, self.SV
         U = SV * W
-        if self.layout == "FIFO":
-            head_dest = np.take_along_axis(
-                self.fdest, self.fhead[..., None], axis=3
-            )[..., 0]
-            ql4 = np.zeros((SV, W, R, R), dtype=np.int64)
-            np.put_along_axis(ql4, head_dest[..., None], self.flen[..., None], 3)
-        else:
-            ql4 = self.qlen
+        ql4 = self.qlen
+        qflat = self._fifo_qflat
+        if qflat is not None:
+            # A FIFO reads only its oldest packet: the candidate is the
+            # queue whose head arrived first, and its length register
+            # reads the whole buffer, as the FIFO's single queue does.
+            head_slots = qflat * self.CqW + self._qhead_flat[qflat]
+            arrived = np.where(
+                self._qlen_flat[qflat] > 0,
+                self._arrived_flat[head_slots],
+                _NEVER,
+            )
+            oldest = arrived.argmin(1)
+            fifo = np.where(
+                self._r_ar == oldest[:, None],
+                self._occ_flat[self._fifo_bflat][:, None],
+                0,
+            )
+            ql4 = self.qlen.copy()
+            ql4.reshape(-1, R)[self._fifo_bflat] = fifo
         ql = ql4.reshape(U, R, R)
         stale = self.stale.reshape(U, R, R)
         key = ql << _LENGTH_SHIFT
@@ -788,20 +789,13 @@ class NumpyKernel(SimKernel):
         exact — except the occupancy decrement of a multi-read (SAFC)
         batch, where one input buffer can grant several outputs.
         """
-        if self.layout == "FIFO":
-            heads = self._fhead_flat[bflat]
-            ids = self._fring_flat[bflat * self.C + heads]
-            bumped = heads + 1
-            self._fhead_flat[bflat] = np.where(bumped == self.C, 0, bumped)
-            self._flen_flat[bflat] -= 1
-        else:
-            qflat = bflat * self.R + Og
-            heads = self._qhead_flat[qflat]
-            ids = self._ring_flat[qflat * self.CqW + heads]
-            bumped = heads + 1
-            cq = self.Cq if self._cq_uniform else self._cq_vstage[Sg]
-            self._qhead_flat[qflat] = np.where(bumped == cq, 0, bumped)
-            self._qlen_flat[qflat] -= 1
+        qflat = bflat * self.R + Og
+        heads = self._qhead_flat[qflat]
+        ids = self._ring_flat[qflat * self.CqW + heads]
+        bumped = heads + 1
+        cq = self.Cq if self._cq_uniform else self._cq_vstage[Sg]
+        self._qhead_flat[qflat] = np.where(bumped == cq, 0, bumped)
+        self._qlen_flat[qflat] -= 1
         if self.max_reads == 1:
             self._occ_flat[bflat] -= 1
         else:
@@ -882,9 +876,9 @@ class NumpyKernel(SimKernel):
         BW = B * W
         ql4, key = self._stacked_key()
         # Fairness reads pre-pop state; snapshot what the walk mutates.
-        # (The FIFO register is already a fresh scatter, and only the
-        # dumb scheme's advance reads occupancy.)
-        ql_pre = ql4 if self.layout == "FIFO" else ql4.copy()
+        # (A batch with a FIFO already built a copy, and only the dumb
+        # scheme's advance reads occupancy.)
+        ql_pre = ql4 if ql4 is not self.qlen else ql4.copy()
         occ = self.occb.reshape(U, R)
         occ_pre = occ if self._smart_all else occ.copy()
         got0 = np.zeros(U, dtype=bool)
@@ -1006,11 +1000,6 @@ class NumpyKernel(SimKernel):
         B = self.B
         flat = self.flatidx[s]
         nxt = slice((s + 1) * B, (s + 2) * B)
-        if self.layout == "FIFO":
-            # Dest-independent: the downstream buffer is simply full.
-            # (Conservative fidelity coincides with precise here.)
-            full = (self.occb[nxt] >= self.C).reshape(B, -1)
-            return full[:, flat][:, :, None, :]
         blocked = None
         if self._any_precise:
             # Precise: the head packet's next-stage queue must have room.
@@ -1061,18 +1050,13 @@ class NumpyKernel(SimKernel):
         # so the single-index gathers read true pre-push state and the
         # direct fancy updates are exact.
         oflat = self._oflat_v[Sg, Wg, Og]
-        d2 = self.digit_v[s2, self.pk_dest[ids]]
+        qflat = oflat * R + self.digit_v[s2, self.pk_dest[ids]]
         occ_flat = self._occ_flat
-        if self.layout == "FIFO":
-            qflat = None
-            qlen_flat = None
-        else:
-            qflat = oflat * R + d2
-            qlen_flat = self._qlen_flat
+        qlen_flat = self._qlen_flat
         if not self._blocking_all:
             # Discarding protocol: a full downstream buffer drops the
             # packet.
-            if self.layout == "FIFO" or self._buflevel_all:
+            if self._buflevel_all:
                 room = occ_flat[oflat] < self.C
             elif self._buflevel_none:
                 cq = self.Cq if self._cq_uniform else self._cq_vstage[s2]
@@ -1099,24 +1083,16 @@ class NumpyKernel(SimKernel):
                 ids = ids[room]
                 s2 = s2[room]
                 oflat = oflat[room]
-                d2 = d2[room]
-                if qflat is not None:
-                    qflat = qflat[room]
+                qflat = qflat[room]
         if not ids.size:
             return
-        if self.layout == "FIFO":
-            flen_flat = self._flen_flat
-            tail = self._fhead_flat[oflat] + flen_flat[oflat]
-            tail = np.where(tail >= self.C, tail - self.C, tail)
-            self._fring_flat[oflat * self.C + tail] = ids
-            self._fdest_flat[oflat * self.C + tail] = d2
-            flen_flat[oflat] += 1
-        else:
-            cq = self.Cq if self._cq_uniform else self._cq_vstage[s2]
-            tail = self._qhead_flat[qflat] + qlen_flat[qflat]
-            tail = np.where(tail >= cq, tail - cq, tail)
-            self._ring_flat[qflat * self.CqW + tail] = ids
-            qlen_flat[qflat] += 1
+        cq = self.Cq if self._cq_uniform else self._cq_vstage[s2]
+        tail = self._qhead_flat[qflat] + qlen_flat[qflat]
+        tail = np.where(tail >= cq, tail - cq, tail)
+        slots = qflat * self.CqW + tail
+        self._ring_flat[slots] = ids
+        self._arrived_flat[slots] = self._cycle
+        qlen_flat[qflat] += 1
         occ_flat[oflat] += 1
         recv_flat = self._recv_flat
         recv_flat += np.bincount(oflat // R, minlength=recv_flat.size)
@@ -1279,9 +1255,9 @@ class NumpyKernel(SimKernel):
         hit = self.att == self.target
         ports = hit.nonzero()[0]
         if ports.size:
-            k = self.next_k[ports]
-            destinations = self._dests[ports, k]
-            offsets = self._offsets[ports, k]
+            k = self._first[ports] + self.next_k[ports]
+            destinations = self._dests[k]
+            offsets = self._offsets[k]
             count = int(ports.size)
             if B == 1:
                 sims_p = None
@@ -1307,7 +1283,7 @@ class NumpyKernel(SimKernel):
             self.sring[ports, tail] = ids
             slen[ports] += 1
             self.next_k[ports] += 1
-            self.target[ports] = self._arr_att[ports, k + 1]
+            self.target[ports] = self._arr_att[k + 1]
             if ms is not None:
                 self._tally("generated", sims_p, created >= ms)
         # Phase 2 — head injection into stage 0 (entry points are a
@@ -1320,13 +1296,9 @@ class NumpyKernel(SimKernel):
         d0 = self.digit[0][self.pk_dest[head_ids]]
         oflat0 = self._entry_oflat[pending]
         occ_flat = self._occ_flat
-        if self.layout == "FIFO":
-            qflat0 = None
-            qlen_flat = None
-        else:
-            qflat0 = oflat0 * self.R + d0
-            qlen_flat = self._qlen_flat
-        if self.layout == "FIFO" or self._buflevel_all:
+        qflat0 = oflat0 * self.R + d0
+        qlen_flat = self._qlen_flat
+        if self._buflevel_all:
             can = occ_flat[oflat0] < self.C
         elif self._buflevel_none:
             cq = self.Cq if self._cq_uniform else self._cq_port[pending]
@@ -1344,22 +1316,14 @@ class NumpyKernel(SimKernel):
             oa = oflat0[accepted]
             va = sources // self.N
             self.pk_injected[ids] = (self._cycle + 1) * self.clk
-            if self.layout == "FIFO":
-                flen_flat = self._flen_flat
-                tail = self._fhead_flat[oa] + flen_flat[oa]
-                tail = np.where(tail >= self.C, tail - self.C, tail)
-                self._fring_flat[oa * self.C + tail] = ids
-                self._fdest_flat[oa * self.C + tail] = d0[accepted]
-                flen_flat[oa] += 1
-            else:
-                qa = qflat0[accepted]
-                cq = (
-                    self.Cq if self._cq_uniform else self._cq_port[sources]
-                )
-                tail = self._qhead_flat[qa] + qlen_flat[qa]
-                tail = np.where(tail >= cq, tail - cq, tail)
-                self._ring_flat[qa * self.CqW + tail] = ids
-                qlen_flat[qa] += 1
+            qa = qflat0[accepted]
+            cq = self.Cq if self._cq_uniform else self._cq_port[sources]
+            tail = self._qhead_flat[qa] + qlen_flat[qa]
+            tail = np.where(tail >= cq, tail - cq, tail)
+            slots = qa * self.CqW + tail
+            self._ring_flat[slots] = ids
+            self._arrived_flat[slots] = self._cycle
+            qlen_flat[qa] += 1
             occ_flat[oa] += 1
             recv_flat = self._recv_flat
             recv_flat += np.bincount(
@@ -1399,43 +1363,42 @@ class NumpyKernel(SimKernel):
             int(self.pk_injected[packet_id]),
         ]
 
-    def _packed_queue(
-        self, u: int, w: int, i: int, o: int, base: int
-    ) -> list[list[Any]]:
+    def _queue(self, u: int, w: int, i: int, o: int) -> list[tuple[int, int]]:
+        """``(arrival cycle, packet id)`` per packet of one queue."""
         head = int(self.qhead[u, w, i, o])
-        length = int(self.qlen[u, w, i, o])
-        ring = self.ring[u, w, i, o]
         cq = int(self._cq_b[u % self.B])
+        slots = [(head + k) % cq for k in range(int(self.qlen[u, w, i, o]))]
         return [
-            self._packed_entry(int(ring[(head + k) % cq]), base)
-            for k in range(length)
+            (int(self.arrived[u, w, i, o, s]), int(self.ring[u, w, i, o, s]))
+            for s in slots
         ]
 
     def _packed_switch(self, u: int, w: int, base: int) -> dict[str, Any]:
         R = self.R
-        if self.layout == "FIFO":
-            lengths = []
-            queues = []
-            for i in range(R):
-                used = int(self.flen[u, w, i])
-                head = int(self.fhead[u, w, i])
+        fifo = self.kinds[u % self.B] == "FIFO"
+        lengths = []
+        queues = []
+        for i in range(R):
+            rings = [self._queue(u, w, i, o) for o in range(R)]
+            if fifo:
+                # The FIFO's single queue: its rings merged in arrival
+                # order, the whole length on the oldest head's output.
+                merged = sorted(
+                    (stamp, o, p)
+                    for o, ring in enumerate(rings)
+                    for stamp, p in ring
+                )
                 row = [0] * R
-                entries = []
-                for k in range(used):
-                    slot = (head + k) % self.C
-                    entries.append(
-                        self._packed_entry(int(self.fring[u, w, i, slot]), base)
-                    )
-                if used:
-                    row[int(self.fdest[u, w, i, head])] = used
+                if merged:
+                    row[merged[0][1]] = len(merged)
                 lengths.append(row)
-                queues.append([entries])
-        else:
-            lengths = self.qlen[u, w].tolist()
-            queues = [
-                [self._packed_queue(u, w, i, o, base) for o in range(R)]
-                for i in range(R)
-            ]
+                packets = [[p for _, _, p in merged]]
+            else:
+                lengths.append(self.qlen[u, w, i].tolist())
+                packets = [[p for _, p in ring] for ring in rings]
+            queues.append(
+                [[self._packed_entry(p, base) for p in q] for q in packets]
+            )
         return {
             "occupancy": int(self.occb[u, w].sum()),
             "received": int(self.recv[u, w]),

@@ -15,7 +15,7 @@ latency the paper tabulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.network.metrics import SimulationResult
 from repro.network.simulator import NetworkConfig
@@ -27,6 +27,7 @@ __all__ = [
     "measure_saturation",
     "measure_saturation_grid",
     "latency_throughput_curve",
+    "latency_throughput_curves",
 ]
 
 
@@ -120,18 +121,42 @@ def latency_throughput_curve(
     throughput stops increasing while latency keeps climbing).  The sweep
     points are independent runs, so ``jobs`` fans them over processes.
     """
-    results: list[SimulationResult] = parallel_simulate(
-        [config.with_overrides(offered_load=load) for load in offered_loads],
-        warmup_cycles,
-        measure_cycles,
-        jobs=jobs,
+    return latency_throughput_curves(
+        [config], offered_loads, warmup_cycles, measure_cycles, jobs
+    )[0]
+
+
+def latency_throughput_curves(
+    configs: Sequence[NetworkConfig],
+    offered_loads: list[float],
+    warmup_cycles: int = 2000,
+    measure_cycles: int = 10000,
+    jobs: int | None = 1,
+) -> list[list[CurvePoint]]:
+    """One curve per config, every sweep point in one simulation grid.
+
+    A single :func:`repro.perf.parallel_simulate` call runs all curves,
+    so the numpy backend fuses a whole figure into one batch kernel.
+    """
+    grid = [
+        config.with_overrides(offered_load=load)
+        for config in configs
+        for load in offered_loads
+    ]
+    results: Iterator[SimulationResult] = iter(
+        parallel_simulate(grid, warmup_cycles, measure_cycles, jobs=jobs)
     )
+    # ``zip`` stops on the loads before it draws a result, so each curve
+    # takes the next ``len(offered_loads)`` results.
     return [
-        CurvePoint(
-            offered_load=load,
-            delivered_throughput=result.delivered_throughput,
-            average_latency=result.average_latency,
-            latency_half_width=result.meters.latency.mean_half_width(),
-        )
-        for load, result in zip(offered_loads, results)
+        [
+            CurvePoint(
+                offered_load=load,
+                delivered_throughput=result.delivered_throughput,
+                average_latency=result.average_latency,
+                latency_half_width=result.meters.latency.mean_half_width(),
+            )
+            for load, result in zip(offered_loads, results)
+        ]
+        for _config in configs
     ]

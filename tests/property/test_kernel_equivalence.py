@@ -8,10 +8,11 @@ every counter and the exact Welford accumulator state — is equal, plus
 the packed per-cycle state digests at the end of the run.
 
 Batching is part of the claim too: fusing several configurations into
-one struct-of-arrays kernel must leave each configuration's results
-identical to running it alone.
+one struct-of-arrays kernel — any mix of buffer kinds — must leave each
+configuration's results identical to running it alone.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,19 +58,24 @@ def test_backends_agree_on_random_configs(config):
     assert reference.state_digest() == vectorized.state_digest()
 
 
+KINDS = ["FIFO", "SAMQ", "SAFC", "DAMQ"]
+
+
 @settings(max_examples=8, deadline=None)
 @given(
-    kind=st.sampled_from(["FIFO", "DAMQ"]),
-    protocol=st.sampled_from([Protocol.BLOCKING, Protocol.DISCARDING]),
-    loads=st.lists(
-        st.sampled_from([0.2, 0.4, 0.7, 1.0]),
+    cells=st.lists(
+        st.tuples(
+            st.sampled_from(KINDS),
+            st.sampled_from([0.2, 0.4, 0.7, 1.0]),
+        ),
         min_size=2,
         max_size=4,
         unique=True,
     ),
+    protocol=st.sampled_from([Protocol.BLOCKING, Protocol.DISCARDING]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_batched_run_matches_individual_runs(kind, protocol, loads, seed):
+def test_batched_run_matches_individual_runs(cells, protocol, seed):
     members = [
         NetworkConfig(
             num_ports=16,
@@ -79,14 +85,76 @@ def test_batched_run_matches_individual_runs(kind, protocol, loads, seed):
             offered_load=load,
             seed=seed,
         )
-        for load in loads
+        for kind, load in cells
     ]
     keys = {batch_group_key(config) for config in members}
-    assert len(keys) == 1, "loads must not split the batch group"
+    assert len(keys) == 1, "buffer kinds and loads must not split the batch"
     batched = NumpyKernel.batch(members).run_batch(20, 80)
     for config, fused in zip(members, batched):
         alone = NumpyKernel(config).run(20, 80)
         assert fused.to_state() == alone.to_state()
+
+
+@pytest.mark.parametrize("seed", [1988, 7])
+def test_mixed_kind_blocking_batch_matches_reference_every_cycle(seed):
+    # One fused kernel holding all four buffer kinds under blocking
+    # hot-spot traffic near saturation, so the sequenced walk and the
+    # FIFO's oldest-head selection both run alongside the queue kinds.
+    members = [
+        NetworkConfig(
+            num_ports=16,
+            radix=4,
+            buffer_kind=kind,
+            protocol=Protocol.BLOCKING,
+            arbiter_kind=arbiter,
+            traffic_kind="hotspot",
+            offered_load=0.9,
+            seed=seed + index,
+        )
+        for index, (kind, arbiter) in enumerate(
+            zip(KINDS, ["smart", "dumb", "smart", "dumb"])
+        )
+    ]
+    fused = NumpyKernel.batch(members)
+    references = [make_kernel(config, "reference") for config in members]
+    for cycle in range(60):
+        fused.step()
+        for sim, reference in enumerate(references):
+            reference.step()
+            assert fused.packed_state_for(sim) == reference.packed_state(), (
+                f"{members[sim].buffer_kind} diverged at cycle {cycle + 1}"
+            )
+
+
+def test_fifo_reads_the_oldest_arrival_not_the_lowest_id():
+    # Plant two packets in one last-stage FIFO: the older arrival has the
+    # larger id and sits on the higher output, so ordering by packet id
+    # or by output index would read the wrong one.
+    config = NetworkConfig(
+        num_ports=16,
+        radix=4,
+        buffer_kind="FIFO",
+        protocol=Protocol.BLOCKING,
+        offered_load=0.1,
+        seed=1988,
+    )
+    kernel = NumpyKernel(config)
+    kernel.prepare(200)
+    last = kernel.S - 1
+    older, newer = 5, 3
+    for packet, output, arrived in ((older, 2, 0), (newer, 1, 1)):
+        # Switch 0's output ``o`` of the last stage feeds sink ``o``.
+        kernel.pk_dest[packet] = output
+        kernel.ring[last, 0, 0, output, 0] = packet
+        kernel.arrived[last, 0, 0, output, 0] = arrived
+        kernel.qlen[last, 0, 0, output] = 1
+    kernel.occb[last, 0, 0] = 2
+    kernel.stage_slots[last] = 2
+    kernel.next_idv[0] = older + 1  # fresh packets take later ids
+    kernel.step()
+    assert kernel.sink_recv[:4].tolist() == [0, 0, 1, 0]
+    queues = kernel.packed_state()["switches"][last][0]["queues"][0]
+    assert [[entry[0] for entry in queue] for queue in queues] == [[newer]]
 
 
 @settings(max_examples=10, deadline=None)
