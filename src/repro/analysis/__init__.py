@@ -24,13 +24,18 @@ This package enforces both, three ways:
   attached through :mod:`repro.instrument` to every
   :class:`~repro.core.linkedlist.SlotListManager` and
   :class:`~repro.core.buffer.SwitchBuffer` of a run, it detects slot
-  use-after-free, double-free, pointer cycles/leaks, and per-cycle
-  port-bandwidth violations.
+  use-after-free, double-free and per-cycle port-bandwidth violations,
+  and records the pointer-RAM findings of the slot manager's own walk
+  (:meth:`~repro.core.linkedlist.SlotListManager.pointer_faults`: wild
+  pointers, pointer cycles, cross-links, retired-linked slots, stale
+  registers, leaks).
 * :mod:`repro.analysis.model` — an explicit-state bounded model checker
   (``python -m repro.analysis model`` / ``repro-verify``) that
   exhaustively explores all arrival × grant × departure interleavings of
   each buffer architecture at small parameters against reference
-  specifications (:mod:`repro.analysis.properties`), checks the paper's
+  specifications (:mod:`repro.analysis.properties`; the same
+  pointer-RAM walk runs after every transition through each buffer's
+  ``check_invariants``), checks the paper's
   refinement claims, replays violations as minimal counterexample traces
   (:mod:`repro.analysis.counterexample`) and cross-validates the explored
   state graph against the :mod:`repro.markov` chains.

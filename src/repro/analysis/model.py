@@ -65,11 +65,9 @@ from repro.analysis.properties import (
     SpecBuffer,
     Violation,
     check_conformance,
-    check_pointer_ram,
     make_spec,
 )
 from repro.core.buffer import SwitchBuffer
-from repro.core.damq import DamqBuffer
 from repro.core.fifo import FifoBuffer
 from repro.core.linkedlist import NO_SLOT, SlotListManager
 from repro.core.packet import Packet
@@ -415,8 +413,6 @@ class BufferSystem:
     ) -> None:
         try:
             check_conformance(buffer, spec)
-            if isinstance(buffer, DamqBuffer):
-                check_pointer_ram(buffer._lists)
         except PropertyViolation as error:
             error.action = action
             raise
@@ -812,8 +808,6 @@ class SwitchSystem:
         for input_port in range(self.num_ports):
             try:
                 check_conformance(buffers[input_port], successors[input_port])
-                if isinstance(buffers[input_port], DamqBuffer):
-                    check_pointer_ram(buffers[input_port]._lists)
             except PropertyViolation as error:
                 error.action = action
                 raise
@@ -1141,8 +1135,6 @@ class FifoRefinementSystem:
             )
         for buffer in (damq, fifo):
             buffer.check_invariants()
-        if isinstance(damq, DamqBuffer):
-            check_pointer_ram(damq._lists)
 
     def _restore(
         self, damq_snapshot: dict[str, Any], fifo_snapshot: dict[str, Any]
@@ -1271,8 +1263,6 @@ class DominanceSystem:
             raise ConfigurationError(f"unknown action {action!r}")
         for buffer in (partitioned, damq):
             buffer.check_invariants()
-        if isinstance(damq, DamqBuffer):
-            check_pointer_ram(damq._lists)
         return self._pack(partitioned, damq, next_id=next_id)
 
     def _restore(

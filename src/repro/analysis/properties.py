@@ -11,17 +11,19 @@ own structural invariants are re-checked.  Because the checker explores
 become visible (a reordered queue, a leaked slot, a stale register) is
 caught on some path.
 
-Three layers of checking live here:
+Two layers of checking live here:
 
 * :class:`SpecBuffer` subclasses — the per-architecture reference
   specifications (FIFO / statically partitioned / dynamically shared).
 * :func:`check_conformance` — implementation vs. specification, covering
   acceptance, head-of-line identity, per-queue FIFO order (via packet
   ids), queue lengths, occupancy accounting and retirement bookkeeping.
-* :func:`check_pointer_ram` — an independent walk of the DAMQ pointer
-  register file that trusts *no* cached register: chain termination
-  (acyclicity), unique slot ownership (no double allocation), retired
-  slots on no list (no use-after-free) and full slot coverage (no leak).
+  It ends with the implementation's own ``check_invariants``; for the
+  linked-list buffers that runs the one pointer-RAM walk,
+  :meth:`~repro.core.linkedlist.SlotListManager.pointer_faults`, which
+  trusts *no* cached register and reports wild pointers, pointer
+  cycles, cross-links, retired-linked slots, stale registers and leaks
+  (as an ``invariants`` violation naming the kind).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.buffer import SwitchBuffer
-from repro.core.linkedlist import NO_SLOT, SlotListManager
 from repro.errors import ConfigurationError, InvariantError
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "SpecBuffer",
     "Violation",
     "check_conformance",
-    "check_pointer_ram",
     "make_spec",
 ]
 
@@ -594,79 +594,3 @@ def check_conformance(implementation: SwitchBuffer, spec: SpecBuffer) -> None:
         implementation.check_invariants()
     except InvariantError as error:
         raise _fail("invariants", str(error), kind) from error
-
-
-def check_pointer_ram(manager: SlotListManager) -> None:
-    """Independent structural walk of the DAMQ pointer register file.
-
-    Unlike ``SlotListManager.check_invariants`` (which walks exactly
-    ``_length`` steps and therefore trusts the length registers), this
-    check follows raw pointer registers until a null pointer or a step
-    bound, so it detects cycles, double-linked slots, stale registers on
-    empty lists, use-after-free of retired slots and leaked slots even
-    when every cached register is consistent with the corruption.
-    """
-    owner: dict[int, str] = {}
-
-    def walk(start: int, label: str) -> None:
-        slot = start
-        steps = 0
-        while slot != NO_SLOT:
-            if steps > manager.num_slots:
-                raise _fail(
-                    "pointer-cycle",
-                    f"{label} chain does not terminate within "
-                    f"{manager.num_slots} steps",
-                    "DAMQ",
-                )
-            if not 0 <= slot < manager.num_slots:
-                raise _fail(
-                    "pointer-range",
-                    f"{label} chain points at slot {slot}, outside "
-                    f"[0, {manager.num_slots})",
-                    "DAMQ",
-                )
-            if slot in owner:
-                raise _fail(
-                    "double-allocation",
-                    f"slot {slot} linked on both {owner[slot]} and {label}",
-                    "DAMQ",
-                )
-            owner[slot] = label
-            slot = manager._next[slot]
-            steps += 1
-
-    for list_id in range(manager.num_lists):
-        if manager._length[list_id] > 0:
-            walk(manager._head[list_id], f"list {list_id}")
-        elif (
-            manager._head[list_id] != NO_SLOT
-            or manager._tail[list_id] != NO_SLOT
-        ):
-            raise _fail(
-                "stale-register",
-                f"empty list {list_id} still has head/tail registers "
-                f"({manager._head[list_id]}, {manager._tail[list_id]})",
-                "DAMQ",
-            )
-    if manager._free_count > 0:
-        walk(manager._free_head, "free list")
-    retired = manager.retired_slots()
-    for slot in retired:
-        if slot in owner:
-            raise _fail(
-                "use-after-free",
-                f"retired slot {slot} still linked on {owner[slot]}",
-                "DAMQ",
-            )
-    missing = [
-        slot
-        for slot in range(manager.num_slots)
-        if slot not in owner and slot not in manager._retired
-    ]
-    if missing:
-        raise _fail(
-            "slot-leak",
-            f"slots {missing} unreachable from every list",
-            "DAMQ",
-        )

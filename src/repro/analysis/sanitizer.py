@@ -16,10 +16,13 @@ that checks those constraints while a simulation runs:
   free list handed out a slot still in use) and *double-free* (a slot
   already free appended to the free list again), each with the slot's
   recent operation trace.
-* **Pointer RAM structure** — :meth:`HardwareSanitizer.scan` walks every
-  head register through the pointer RAM and reports *pointer cycles*,
-  *wild pointers* (out-of-range), *cross-links* (one slot on two lists)
-  and *pointer leaks* (unreachable live slots).
+* **Pointer RAM structure** — :meth:`HardwareSanitizer.scan` records
+  the findings of the slot manager's own register-file walk,
+  :meth:`~repro.core.linkedlist.SlotListManager.pointer_faults`:
+  *wild pointers* (out-of-range), *pointer cycles*, *cross-links* (one
+  slot on two lists), *retired-linked* slots, *stale registers* (a
+  length or tail register that disagrees with its chain) and *pointer
+  leaks* (unreachable live slots).
 * **Port bandwidth** — enqueues and dequeues are counted per simulated
   cycle and buffer; *write-port-overrun* / *read-port-overrun* is
   reported the moment a buffer performs more RAM accesses in one network
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.buffer import SwitchBuffer
-from repro.core.linkedlist import NO_SLOT, SlotListManager
+from repro.core.linkedlist import SlotListManager
 from repro.core.packet import Packet
 from repro.errors import ConfigurationError, SanitizerError
 from repro.instrument import Observer
@@ -297,78 +300,18 @@ class HardwareSanitizer(Observer):
     def scan(self) -> int:
         """Deep pointer-RAM scan of every observed slot manager.
 
-        Walks each head register through the pointer RAM looking for
-        cycles, wild pointers, cross-links and leaks (read-only: the walk
-        never mutates the register file).  Returns the number of new
-        violations recorded.
+        Records every finding of
+        :meth:`~repro.core.linkedlist.SlotListManager.pointer_faults`
+        (read-only: the walk never mutates the register file), with the
+        offending slot's recent history as its trace.  Returns the number
+        of new violations recorded.
         """
         before = len(self.violations) + self.dropped
         for manager, table in self._slots.items():
-            reached: dict[int, str] = {}
-            for list_id in range(manager.num_lists):
-                start = (
-                    manager._head[list_id]
-                    if manager._length[list_id]
-                    else NO_SLOT
-                )
-                self._walk(manager, table, f"list {list_id}", start, reached)
-            free_start = manager._free_head if manager._free_count else NO_SLOT
-            self._walk(manager, table, "free list", free_start, reached)
-            for slot in range(manager.num_slots):
-                if slot not in reached and table.state[slot] != _RETIRED:
-                    self.record(
-                        "pointer-leak",
-                        table.label,
-                        f"slot {slot} ({_STATE_NAMES[table.state[slot]]}) "
-                        f"is unreachable from every head register: its "
-                        f"storage is lost to the pool",
-                        slot=slot,
-                        trace=tuple(table.history[slot]),
-                    )
+            for kind, slot, message in manager.pointer_faults():
+                trace = () if slot is None else tuple(table.history[slot])
+                self.record(kind, table.label, message, slot, trace)
         return len(self.violations) + self.dropped - before
-
-    def _walk(
-        self,
-        manager: SlotListManager,
-        table: _Slots,
-        chain: str,
-        start: int,
-        reached: dict[int, str],
-    ) -> None:
-        seen: set[int] = set()
-        slot = start
-        while slot != NO_SLOT:
-            if not 0 <= slot < manager.num_slots:
-                self.record(
-                    "wild-pointer",
-                    table.label,
-                    f"{chain} points at slot {slot}, outside the "
-                    f"{manager.num_slots}-slot pool",
-                )
-                return
-            if slot in seen:
-                self.record(
-                    "pointer-cycle",
-                    table.label,
-                    f"{chain} loops back to slot {slot}: a transmitter "
-                    f"draining this list would never terminate",
-                    slot=slot,
-                    trace=tuple(table.history[slot]),
-                )
-                return
-            if slot in reached:
-                self.record(
-                    "cross-link",
-                    table.label,
-                    f"slot {slot} is reachable from both {reached[slot]} "
-                    f"and {chain}",
-                    slot=slot,
-                    trace=tuple(table.history[slot]),
-                )
-                return
-            seen.add(slot)
-            reached[slot] = chain
-            slot = manager._next[slot]
 
     # -- reporting ---------------------------------------------------------
 

@@ -363,52 +363,101 @@ class SlotListManager:
     # Validation
     # ------------------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Verify slot conservation: every slot on exactly one list.
+    def pointer_faults(self) -> list[tuple[str, int | None, str]]:
+        """Walk the raw pointer RAM and list every structural fault (pure).
 
-        Raises :class:`InvariantError` on corruption (never a bare
-        ``AssertionError``, so the check fires under ``python -O`` too).
-        Retired slots must appear on *no* list.  Exercised heavily by the
-        property-based tests.
+        Each list's head register and the free-list head register are
+        followed through the pointer registers to a null pointer; no
+        cached register is trusted.  The walk is then compared with the
+        length and tail registers (``_free_count`` / ``_free_tail`` for
+        the free list), and every slot that is neither reached nor
+        retired is a leak.  Returns ``(kind, slot, message)`` tuples in
+        walk order; ``slot`` is the slot whose register the finding
+        concerns, or ``None`` for a head/length/tail register.  Kinds:
+
+        * ``wild-pointer`` — a register names a slot outside the pool;
+        * ``pointer-cycle`` — a chain loops back on itself;
+        * ``cross-link`` — one slot is reachable from two chains;
+        * ``retired-linked`` — a retired slot is still on a chain;
+        * ``stale-register`` — a length or tail register disagrees with
+          the chain its head register leads to;
+        * ``pointer-leak`` — a live slot is unreachable from every head.
+
+        Only chains that end in a null pointer are compared with their
+        registers.  The walk never raises and never mutates anything.
         """
-        seen: set[int] = set()
-        for list_id in range(self.num_lists):
-            chain = self.slots(list_id)
-            if len(chain) != self._length[list_id]:
-                raise InvariantError(
-                    f"list {list_id}: chain length {len(chain)} != register "
-                    f"{self._length[list_id]}"
-                )
-            if chain:
-                if self._tail[list_id] != chain[-1]:
-                    raise InvariantError(
-                        f"list {list_id}: tail register does not point at "
-                        f"last slot"
+        faults: list[tuple[str, int | None, str]] = []
+        reached: dict[int, str] = {}
+        names = [f"list {list_id}" for list_id in range(self.num_lists)]
+        chains = list(zip(names, self._head, self._length, self._tail))
+        chains.append(
+            ("free list", self._free_head, self._free_count, self._free_tail)
+        )
+        for name, slot, length, tail in chains:
+            chain: list[int] = []
+            previous: int | None = None
+            while slot != NO_SLOT:
+                if not 0 <= slot < self.num_slots:
+                    message = (
+                        f"{name} points at slot {slot}, outside the "
+                        f"{self.num_slots}-slot pool"
                     )
-                if self._next[chain[-1]] != NO_SLOT:
-                    raise InvariantError(
-                        f"list {list_id}: last slot pointer register not null"
-                    )
-            for slot in chain:
-                if slot in seen:
-                    raise InvariantError(f"slot {slot} appears on two lists")
+                    faults.append(("wild-pointer", previous, message))
+                    break
+                if slot in reached:
+                    if reached[slot] == name:
+                        message = (
+                            f"{name} loops back to slot {slot}: a "
+                            f"transmitter draining it would never terminate"
+                        )
+                        faults.append(("pointer-cycle", slot, message))
+                    else:
+                        message = (
+                            f"slot {slot} is reachable from both "
+                            f"{reached[slot]} and {name}"
+                        )
+                        faults.append(("cross-link", slot, message))
+                    break
                 if slot in self._retired:
-                    raise InvariantError(
-                        f"retired slot {slot} appears on list {list_id}"
+                    message = f"retired slot {slot} is still linked on {name}"
+                    faults.append(("retired-linked", slot, message))
+                reached[slot] = name
+                chain.append(slot)
+                previous = slot
+                slot = self._next[slot]
+            else:
+                if len(chain) != length:
+                    message = (
+                        f"{name}: length register reads {length}, its head "
+                        f"register leads to {len(chain)} slot(s)"
                     )
-                seen.add(slot)
-        free = self.free_slots()
-        if len(free) != self._free_count:
-            raise InvariantError("free-list length mismatch")
-        for slot in free:
-            if slot in seen:
-                raise InvariantError(f"slot {slot} both free and allocated")
-            if slot in self._retired:
-                raise InvariantError(f"retired slot {slot} is on the free list")
-            seen.add(slot)
-        expected = set(range(self.num_slots)) - self._retired
-        if seen != expected:
-            raise InvariantError(f"lost slots: {expected - seen}")
+                    faults.append(("stale-register", None, message))
+                last = chain[-1] if chain else NO_SLOT
+                if tail != last:
+                    message = (
+                        f"{name}: tail register reads {tail}, the chain "
+                        f"ends at {last}"
+                    )
+                    faults.append(("stale-register", None, message))
+        for slot in range(self.num_slots):
+            if slot not in reached and slot not in self._retired:
+                message = (
+                    f"slot {slot} is unreachable from every head register: "
+                    f"its storage is lost to the pool"
+                )
+                faults.append(("pointer-leak", slot, message))
+        return faults
+
+    def check_invariants(self) -> None:
+        """Verify the register file: every live slot on exactly one list.
+
+        Raises :class:`InvariantError` naming the first finding of
+        :meth:`pointer_faults` (never a bare ``AssertionError``, so the
+        check fires under ``python -O`` too).  Retired slots must appear
+        on *no* list.  Exercised heavily by the property-based tests.
+        """
+        for kind, _slot, message in self.pointer_faults():
+            raise InvariantError(f"{kind}: {message}")
 
     def _check_list(self, list_id: int) -> None:
         if not 0 <= list_id < self.num_lists:

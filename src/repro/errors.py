@@ -60,9 +60,12 @@ class InvariantError(SimulationError):
 class SanitizerError(SimulationError):
     """Raised by :meth:`repro.analysis.sanitizer.HardwareSanitizer.assert_clean`
     when a sanitized run recorded hardware-model violations (use-after-free,
-    double-free, pointer cycles/leaks, or port-bandwidth overruns).  The
-    sanitizer itself never raises mid-simulation — it records and keeps
-    going, so one corruption yields a complete report."""
+    double-free, port-bandwidth overruns, or a pointer-RAM finding of
+    :meth:`repro.core.linkedlist.SlotListManager.pointer_faults`: wild
+    pointer, pointer cycle, cross-link, retired-linked slot, stale
+    register or leak).  The sanitizer itself never raises mid-simulation
+    — it records and keeps going, so one corruption yields a complete
+    report."""
 
 
 class WorkerFailedError(SimulationError):

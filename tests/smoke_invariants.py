@@ -40,6 +40,21 @@ def corrupt_linked_list():
     manager.check_invariants()
 
 
+def corrupt_empty_list_head():
+    manager = SlotListManager(num_slots=4, num_lists=2)
+    slot = manager.allocate(0)
+    manager.release_head(0)
+    manager._head[0] = slot  # the emptied list kept its old head register
+    manager.check_invariants()
+
+
+def corrupt_free_tail():
+    manager = SlotListManager(num_slots=4, num_lists=2)
+    manager.allocate(0)
+    manager._free_tail = manager.free_slots()[0]  # tail lags the chain
+    manager.check_invariants()
+
+
 def corrupt_retirement_books():
     manager = SlotListManager(num_slots=4, num_lists=2)
     manager.retire_slot()
@@ -75,6 +90,8 @@ def main() -> int:
         f"__debug__={__debug__})"
     )
     expect_detection("severed linked-list chain", corrupt_linked_list)
+    expect_detection("empty list head still set", corrupt_empty_list_head)
+    expect_detection("stale free-tail register", corrupt_free_tail)
     expect_detection("phantom retired slot", corrupt_retirement_books)
     expect_detection("DAMQ count-cache drift", corrupt_damq_count_cache)
     expect_detection("FIFO used-counter drift", corrupt_fifo_used_counter)

@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.analysis.sanitizer import HardwareSanitizer
 from repro.core.linkedlist import NO_SLOT, SlotListManager
-from repro.errors import BufferEmptyError, BufferFullError, ConfigurationError
+from repro.errors import (
+    BufferEmptyError,
+    BufferFullError,
+    ConfigurationError,
+    InvariantError,
+)
+from repro.instrument import observe
 
 
 class TestConstruction:
@@ -169,3 +176,83 @@ class TestValidation:
         manager.release_head(0)
         manager.release_head(0)
         assert manager.is_empty(0) is True
+
+
+def _wild_pointer(manager):
+    manager.allocate(0)
+    manager.allocate(0)
+    manager._next[manager._head[0]] = 99  # outside the 8-slot pool
+
+
+def _self_loop(manager):
+    slot = manager.allocate(0)
+    manager._next[slot] = slot
+
+
+def _cross_link(manager):
+    slot = manager.allocate(0)
+    # List 1's registers alias list 0's only slot.
+    manager._head[1] = slot
+    manager._tail[1] = slot
+    manager._length[1] = 1
+
+
+def _leaked_slot(manager):
+    manager.allocate(0)
+    # Every register agrees the list is empty; the slot is simply lost.
+    manager._head[0] = NO_SLOT
+    manager._tail[0] = NO_SLOT
+    manager._length[0] = 0
+
+
+def _empty_list_head_still_set(manager):
+    slot = manager.allocate(0)
+    manager.release_head(0)
+    manager._head[0] = slot  # the emptied list kept its old head register
+
+
+def _stale_free_tail(manager):
+    manager.allocate(0)
+    manager._free_tail = manager.free_slots()[0]
+
+
+def _stale_length_register(manager):
+    manager.allocate(1)
+    manager._length[1] = 2  # claims two slots, the chain has one
+
+
+def _retired_slot_linked(manager):
+    retired = manager.retire_slot()
+    manager._head[0] = retired
+    manager._tail[0] = retired
+    manager._length[0] = 1
+
+
+POINTER_CORRUPTIONS = [
+    ("wild-pointer", _wild_pointer),
+    ("pointer-cycle", _self_loop),
+    ("cross-link", _cross_link),
+    ("pointer-leak", _leaked_slot),
+    ("stale-register", _empty_list_head_still_set),
+    ("stale-register", _stale_free_tail),
+    ("stale-register", _stale_length_register),
+    ("retired-linked", _retired_slot_linked),
+]
+
+
+@pytest.mark.parametrize(
+    ("kind", "corrupt"),
+    POINTER_CORRUPTIONS,
+    ids=[corrupt.__name__.lstrip("_") for _, corrupt in POINTER_CORRUPTIONS],
+)
+def test_pointer_corruption_reaches_both_consumers(kind, corrupt):
+    """One walk, two consumers: the invariant check and the sanitizer."""
+    sanitizer = HardwareSanitizer()
+    manager = observe(SlotListManager(8, 2), sanitizer, "m")
+    manager.check_invariants()
+    corrupt(manager)
+    with pytest.raises(InvariantError) as excinfo:
+        manager.check_invariants()
+    assert str(excinfo.value).startswith(f"{kind}: ")
+    sanitizer.scan()
+    assert kind in {violation.kind for violation in sanitizer.violations}
