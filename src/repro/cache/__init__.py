@@ -21,8 +21,8 @@ The pieces:
 * :mod:`repro.cache.keys` — canonical JSON, the source-tree fingerprint
   and the key derivation.
 * :mod:`repro.cache.codecs` — named encoders/decoders turning result
-  objects (``SimulationResult``, ``ValidationReport``, plain JSON
-  values) into blobs and back, bit-exact.
+  objects (``SimulationResult``, ``ChipCampaignResult``, plain
+  JSON values) into blobs and back, bit-exact.
 * :mod:`repro.cache.store` — the on-disk store: index, blobs, LRU
   eviction, ``stats``/``clear``/``verify`` maintenance.
 * :mod:`repro.cache.runtime` — the process-wide activation context that

@@ -12,9 +12,6 @@ The repository's cacheable results:
     echo plus the meters, whose Welford accumulators are stored as
     their exact state dicts (JSON round-trips Python floats exactly, and
     preserves the int extrema the determinism pins check).
-``validation-report``
-    :class:`~repro.markov.validation.ValidationReport` — a flat
-    dataclass of primitives.
 ``chip-campaign``
     :class:`~repro.faults.campaign.ChipCampaignResult` — the closed-loop
     chip fault campaign's counters (flat primitives plus one str→int
@@ -58,22 +55,6 @@ def _decode_simulation_result(blob: Any) -> Any:
     return SimulationResult(meters=meters, **state)
 
 
-def _encode_validation_report(result: Any) -> Any:
-    from repro.markov.validation import ValidationReport
-
-    if not isinstance(result, ValidationReport):
-        raise ConfigurationError(
-            f"validation-report codec cannot encode {type(result).__name__}"
-        )
-    return asdict(result)
-
-
-def _decode_validation_report(blob: Any) -> Any:
-    from repro.markov.validation import ValidationReport
-
-    return ValidationReport(**blob)
-
-
 def _encode_chip_campaign(result: Any) -> Any:
     from repro.faults.campaign import ChipCampaignResult
 
@@ -96,7 +77,6 @@ def _identity(value: Any) -> Any:
 
 _CODECS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
     "simulation-result": (_encode_simulation_result, _decode_simulation_result),
-    "validation-report": (_encode_validation_report, _decode_validation_report),
     "chip-campaign": (_encode_chip_campaign, _decode_chip_campaign),
     "json": (_identity, _identity),
 }

@@ -16,11 +16,6 @@ from repro.markov.theory import (
     HOL_SATURATION,
     hol_saturation_throughput,
 )
-from repro.markov.validation import (
-    LongClockSwitchSimulator,
-    ValidationReport,
-    validate,
-)
 from repro.markov.ports import (
     DamqPortModel,
     FifoPortModel,
@@ -36,11 +31,8 @@ __all__ = [
     "FifoPortModel",
     "HOL_ASYMPTOTE",
     "HOL_SATURATION",
-    "LongClockSwitchSimulator",
     "hol_saturation_throughput",
     "MarkovChain",
-    "ValidationReport",
-    "validate",
     "PAPER_BUFFER_SIZES",
     "PAPER_TRAFFIC_GRID",
     "PortModel",

@@ -14,7 +14,6 @@ from repro.cache.runtime import CacheContext, activate, active
 from repro.cache.store import ResultCache
 from repro.cache.__main__ import main as cache_main
 from repro.errors import ConfigurationError
-from repro.markov.validation import ValidationReport
 from repro.network.simulator import NetworkConfig, simulate
 
 
@@ -66,21 +65,6 @@ def test_simulation_result_codec_round_trips_bit_exact():
     clone = decode_result("simulation-result", blob)
     assert clone.buffer_kind == result.buffer_kind
     assert clone.meters.snapshot_state() == result.meters.snapshot_state()
-
-
-def test_validation_report_codec_round_trips():
-    report = ValidationReport(
-        buffer_kind="FIFO",
-        slots_per_port=4,
-        traffic_rate=0.5,
-        analytic_discard=0.01,
-        simulated_discard=0.012,
-        analytic_throughput=0.49,
-        simulated_throughput=0.488,
-        cycles=10000,
-    )
-    blob = json.loads(json.dumps(encode_result("validation-report", report)))
-    assert decode_result("validation-report", blob) == report
 
 
 def test_chip_campaign_codec_round_trips():
