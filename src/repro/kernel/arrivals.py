@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
+from repro.network.simulator import CYCLE_CLOCKS
 from repro.utils.rng import _seed_for
 
 if TYPE_CHECKING:
@@ -272,7 +273,7 @@ def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan
                 total_attempts,
                 probability,
                 num_ports,
-                config.cycle_clocks,
+                CYCLE_CLOCKS,
             )
         if decoded is None:
             # Exact scalar replay, growing the word window as needed.
@@ -286,7 +287,7 @@ def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan
                         probability,
                         pattern.kind,
                         num_ports,
-                        config.cycle_clocks,
+                        CYCLE_CLOCKS,
                         config.hot_fraction,
                         config.hot_port,
                         mapping[port] if mapping is not None else 0,

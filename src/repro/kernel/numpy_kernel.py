@@ -42,10 +42,13 @@ Batching whole stages is exact because the inter-stage wiring is a
 bijection: each downstream buffer has exactly one upstream feeder, so
 the pushes of one switch can never affect another switch's flow-control
 predicate within the same stage, and all granted (switch, input, output)
-triples of a stage are unique.  Stages are processed last-to-first,
-exactly like the reference ``step``; when no downstream buffer is full
-(always, under the discarding protocol) the blocked predicate is
-identically false and all stages arbitrate in one stacked batch.
+triples of a stage are unique.  One stage walk serves every cycle: it
+visits segments of virtual stages last-to-first, exactly like the
+reference ``step``.  While some downstream buffer of a blocking
+simulation is full, each network stage is its own segment, so a stage's
+blocked predicate sees its downstream stage after that stage popped.
+Otherwise (always, under the discarding protocol) the blocked predicate
+is identically false and one segment spans every virtual stage.
 Deliveries are replayed through a scalar Welford loop in the reference's
 (switch index, grant order) sequence so the latency accumulators match
 bit for bit.
@@ -65,7 +68,11 @@ from repro.errors import ConfigurationError
 from repro.kernel.arrivals import GAP_SENTINEL, decode_arrivals
 from repro.kernel.base import SimKernel, numpy_unsupported_reason
 from repro.network.metrics import Meters, SimulationResult
-from repro.network.simulator import NetworkConfig
+from repro.network.simulator import (
+    CYCLE_CLOCKS,
+    SOURCE_QUEUE_CAPACITY,
+    NetworkConfig,
+)
 from repro.network.topology import OmegaTopology
 from repro.network.traffic import make_traffic
 from repro.switch.flow_control import Protocol
@@ -95,33 +102,22 @@ _FLUSH_CYCLES = 256
 _NEVER = np.iinfo(np.int64).max
 
 
+def _cat(parts: tuple[Any, ...]) -> Any:
+    """Concatenate per-segment arrays, skipping the copy for one segment."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def batch_group_key(config: NetworkConfig) -> tuple[Any, ...]:
     """Structural batching key: equal keys may share one kernel.
 
     Configurations in one batch must agree on everything that shapes the
-    arrays — topology, slot count, clocking and effective source queue
-    depth.  Everything else is a per-simulation property: offered load,
-    seed, arbiter scheme, traffic pattern, protocol, flow-control
-    fidelity and buffer kind (all four kinds share one ring layout) —
-    which is how each of the paper's experiment grids runs as one
-    kernel.
+    arrays — topology and slot count.  Everything else is a
+    per-simulation property: offered load, seed, arbiter scheme, traffic
+    pattern, protocol, flow-control fidelity and buffer kind (all four
+    kinds share one ring layout) — which is how each of the paper's
+    experiment grids runs as one kernel.
     """
-    # Mirrors the reference's exact predicate (an enum identity test):
-    # a non-enum protocol value disables discard-at-injection there too.
-    discard_at_injection = (
-        config.protocol is Protocol.DISCARDING and config.discard_at_injection
-    )
-    effective_capacity = (
-        0 if discard_at_injection else config.source_queue_capacity
-    )
-    return (
-        config.num_ports,
-        config.radix,
-        config.slots_per_buffer,
-        discard_at_injection,
-        config.cycle_clocks,
-        effective_capacity,
-    )
+    return (config.num_ports, config.radix, config.slots_per_buffer)
 
 
 class NumpyKernel(SimKernel):
@@ -196,7 +192,7 @@ class NumpyKernel(SimKernel):
         smart_flags = [cfg.arbiter_kind == "smart" for cfg in configs]
         self._smart_all = all(smart_flags)
         self._smart_any = any(smart_flags)
-        self.clk = config.cycle_clocks
+        self.clk = CYCLE_CLOCKS
         blocking_flags = [
             cfg.protocol is Protocol.BLOCKING for cfg in configs
         ]
@@ -213,13 +209,6 @@ class NumpyKernel(SimKernel):
         buflevel = [kind in ("FIFO", "DAMQ") for kind in kinds]
         self._buflevel_all = all(buflevel)
         self._buflevel_none = not any(buflevel)
-        self._discard_at_injection = (
-            config.protocol is Protocol.DISCARDING
-            and config.discard_at_injection
-        )
-        self.queue_capacity = (
-            0 if self._discard_at_injection else config.source_queue_capacity
-        )
         self.patterns = [
             make_traffic(
                 cfg.traffic_kind, self.N, cfg.hot_fraction, cfg.hot_port
@@ -297,7 +286,7 @@ class NumpyKernel(SimKernel):
         self.sink_recv = np.zeros(self.BN, dtype=i64)
         self.sink_mis = np.zeros(self.BN, dtype=i64)
         # Sources: injection-queue rings plus the arrival countdowns.
-        self.K2 = self.queue_capacity + 2
+        self.K2 = SOURCE_QUEUE_CAPACITY + 2
         self.sring = np.zeros((self.BN, self.K2), dtype=i64)
         self.shead = np.zeros(self.BN, dtype=i64)
         self.slen = np.zeros(self.BN, dtype=i64)
@@ -445,10 +434,10 @@ class NumpyKernel(SimKernel):
                 ).ravel()
         else:
             self._multi_rows_seq = self._multi_rows_stacked = None
-        # Reusable grant-round scratch, keyed by batch width (one stage
-        # or all stages stacked): index vectors plus the rotated key
-        # array, widened by a dummy output column so non-granting
-        # switches can scatter into it harmlessly.
+        # Reusable grant-round scratch, keyed by batch width (one network
+        # stage, or a segment spanning every virtual stage): index
+        # vectors plus the rotated key array, widened by a dummy output
+        # column so non-granting switches can scatter into it harmlessly.
         self._scratch_cache: dict[int, tuple[Any, Any, Any]] = {}
 
     # ------------------------------------------------------------------
@@ -529,14 +518,7 @@ class NumpyKernel(SimKernel):
         if self._plan_attempts <= self._cycle:
             self.prepare(max(64, 2 * (self._cycle + 1)))
         if self.stage_slots.any():
-            # Blocking can only bite while some downstream buffer is
-            # full; otherwise the stages decouple within the cycle and
-            # all of them arbitrate in one stacked batch (always the
-            # case under the discarding protocol).
-            if self._blocking_any and self._any_downstream_full():
-                self._run_stages_sequenced()
-            else:
-                self._run_all_stages()
+            self._run_stages()
         self._inject()
         if self.measure_start_clock is not None:
             # Snapshot now, fold into the occupancy stats at flush time.
@@ -745,8 +727,7 @@ class NumpyKernel(SimKernel):
         materialized before any pop.  Every stage's candidates are fixed
         at cycle start (upstream pushes land only after it arbitrates;
         downstream pops never touch its queues), so one stacked
-        construction serves both the stacked fast path and the
-        sequenced blocking walk.
+        construction serves every segment of the stage walk.
         """
         R, W, SV = self.R, self.W, self.SV
         U = SV * W
@@ -802,76 +783,38 @@ class NumpyKernel(SimKernel):
             np.add.at(self._occ_flat, bflat, -1)
         return ids
 
-    def _run_all_stages(self) -> None:
-        """Arbitrate every virtual stage in one stacked batch.
+    def _run_stages(self) -> None:
+        """Arbitrate, pop and move one cycle's grants, last stage first.
 
-        Exact whenever no candidate can be blocked (discarding protocol,
-        or blocking with no full downstream buffer): the stages then
-        decouple within the cycle, because a stage's pushes only land in
-        the *next* stage's buffers — which have already popped — and the
-        blocked predicate is identically false.  Grants, pops and
-        fairness updates are order-independent across stages; pushes are
-        applied after all pops, exactly like the reference's
-        last-to-first stage walk.
-        """
-        R, W, SV = self.R, self.W, self.SV
-        U = SV * W
-        ql4, key = self._stacked_key()
-        rows, Ug, Ig, Og, Seq, got0 = self._rounds(key, self._prio_flat)
-        self._fairness(
-            ql4.reshape(U, R, R), self._prio_flat,
-            self.stale.reshape(U, R, R), self.occb.reshape(U, R), got0,
-            self._smart_stacked_bool,
-        )
-        if Ug.size == 0:
-            return
-        bflat = Ug * R + Ig
-        self._stale_flat[bflat * R + Og] = 0
-        Sg, Wg = divmod(Ug, W)
-        ids = self._pop(bflat, Sg, Og)
-        self._fwd_flat += np.bincount(Ug, minlength=U)
-        self.stage_slots -= np.bincount(Sg, minlength=SV)
-        last0 = (self.S - 1) * self.B
-        is_last = Sg >= last0
-        if is_last.all():
-            self._deliver(Wg, Og, Seq, ids, Sg - last0)
-        elif is_last.any():
-            self._deliver(
-                Wg[is_last], Og[is_last], Seq[is_last], ids[is_last],
-                Sg[is_last] - last0,
-            )
-            rest = ~is_last
-            self._forward(Sg[rest], Wg[rest], Og[rest], ids[rest])
-        else:
-            self._forward(Sg, Wg, Og, ids)
-
-    def _run_stages_sequenced(self) -> None:
-        """Last-to-first stage walk for cycles where blocking can bite.
-
-        Only the truly sequential core serializes per network stage:
-        stage ``s``'s blocked predicate reads stage ``s+1``'s post-pop
-        buffer state, so the blocked mask, the grant rounds and the
-        pops walk the stages last-to-first, exactly like the reference.
-        Everything else is order-free across stages and runs stacked,
-        once per cycle:
+        The walk visits segments of virtual stages.  When blocking can
+        bite, stage ``s``'s blocked predicate reads stage ``s+1``'s
+        post-pop buffer state, so each network stage is a segment and
+        the blocked mask, the grant rounds and the pops walk the stages
+        last-to-first, exactly like the reference.  Otherwise (no full
+        downstream buffer in a blocking sim, always the case under the
+        discarding protocol) the stages decouple within the cycle: a
+        stage's pushes only land in the next stage's buffers, which have
+        already popped, and the blocked predicate is identically false.
+        One segment then spans every virtual stage, arbitrated by one
+        set of grant rounds.  Everything else is order-free across
+        stages and runs once per cycle:
 
         * the arbitration keys (:meth:`_stacked_key`);
         * the fairness update — it reads pre-pop lengths/occupancy
           (snapshotted below) and the grant-at-step-0 bits, neither of
           which the walk feeds;
         * the stale reset of granted queues — elementwise, applied
-          after the stacked fairness bump, exactly the per-stage order;
+          after the fairness bump, exactly the per-stage order;
         * the forwards — stage ``s`` pushes into ``s+1``, which the
           remaining walk never re-reads (stage ``s-1``'s blocked
           predicate looks at stage ``s``, whose pushes come from
-          ``s-1`` itself), so they batch into one scatter, exactly
-          like the stacked path's;
+          ``s-1`` itself), so they batch into one scatter;
         * the forwarded/slot counters — nothing mid-walk reads them
           except the may-block gate, which then sees pre-pop slot
           counts and only errs toward computing an (exact) blocked
           mask it could have skipped.
         """
-        B, R, W, SV = self.B, self.R, self.W, self.SV
+        B, R, S, W, SV = self.B, self.R, self.S, self.W, self.SV
         U = SV * W
         BW = B * W
         ql4, key = self._stacked_key()
@@ -881,25 +824,23 @@ class NumpyKernel(SimKernel):
         ql_pre = ql4 if ql4 is not self.qlen else ql4.copy()
         occ = self.occb.reshape(U, R)
         occ_pre = occ if self._smart_all else occ.copy()
+        if self._blocking_any and self._any_downstream_full():
+            segments = [(s, s + 1) for s in range(S - 1, -1, -1)]
+        else:
+            segments = [(0, S)]
         got0 = np.zeros(U, dtype=bool)
         stage_slots = self.stage_slots
-        grant_rows: list[Any] = []
-        grant_bflat: list[Any] = []
-        grant_og: list[Any] = []
+        grants: list[tuple[Any, Any, Any]] = []
         fwd_parts: list[tuple[Any, Any, Any, Any]] = []
-        last0 = (self.S - 1) * B
-        for s in range(self.S - 1, -1, -1):
-            if not stage_slots[s * B : (s + 1) * B].any():
+        last0 = (S - 1) * B
+        for first, end in segments:
+            if not stage_slots[first * B : end * B].any():
                 continue
-            lo = s * BW
-            key_s = key[lo : lo + BW]
-            last = s == self.S - 1
-            if (
-                self._blocking_any
-                and not last
-                and self._downstream_may_block(s)
-            ):
-                blocked = self._blocked(s, ql4[s * B : (s + 1) * B])
+            lo, hi = first * BW, end * BW
+            key_s = key[lo:hi]
+            # Only a one-stage segment short of the last stage can block.
+            if end < S and self._downstream_may_block(first):
+                blocked = self._blocked(first, ql4[first * B : end * B])
                 if not self._blocking_all:
                     # Discarding sims in the batch never block; their
                     # pushes drop at the destination instead.
@@ -912,45 +853,42 @@ class NumpyKernel(SimKernel):
                     np.broadcast_to(blocked, (B, W, R, R)).reshape(BW, R, R)
                 ] = -1
             rows, Ug, Ig, Og, Seq, got0_s = self._rounds(
-                key_s, self._prio_flat[lo : lo + BW]
+                key_s, self._prio_flat[lo:hi]
             )
-            got0[lo : lo + BW] = got0_s
+            got0[lo:hi] = got0_s
             if Ug.size == 0:
                 continue
             gU = Ug + lo
             bflat = gU * R + Ig
             Sg, Wg = divmod(gU, W)
             ids = self._pop(bflat, Sg, Og)
-            grant_rows.append(gU)
-            grant_bflat.append(bflat)
-            grant_og.append(Og)
-            if last:
-                self._deliver(Wg, Og, Seq, ids, Sg - last0)
-            else:
-                fwd_parts.append((Sg, Wg, Og, ids))
+            grants.append((gU, bflat, Og))
+            if end == S:
+                # Final-stage grants leave the network.
+                out = Sg >= last0
+                if out.all():
+                    self._deliver(Wg, Og, Seq, ids, Sg - last0)
+                    continue
+                if out.any():
+                    self._deliver(
+                        Wg[out], Og[out], Seq[out], ids[out], Sg[out] - last0
+                    )
+                    rest = ~out
+                    Sg, Wg, Og, ids = Sg[rest], Wg[rest], Og[rest], ids[rest]
+            fwd_parts.append((Sg, Wg, Og, ids))
         self._fairness(
             ql_pre.reshape(U, R, R), self._prio_flat,
             self.stale.reshape(U, R, R), occ_pre, got0,
             self._smart_stacked_bool,
         )
-        if not grant_rows:
+        if not grants:
             return
-        one = len(grant_rows) == 1
-        gU = grant_rows[0] if one else np.concatenate(grant_rows)
-        bflat = grant_bflat[0] if one else np.concatenate(grant_bflat)
-        Og = grant_og[0] if one else np.concatenate(grant_og)
+        gU, bflat, Og = (_cat(column) for column in zip(*grants))
         self._stale_flat[bflat * R + Og] = 0
         self._fwd_flat += np.bincount(gU, minlength=U)
         stage_slots -= np.bincount(gU // W, minlength=SV)
         if fwd_parts:
-            if len(fwd_parts) == 1:
-                fSg, fWg, fOg, fids = fwd_parts[0]
-            else:
-                fSg = np.concatenate([p[0] for p in fwd_parts])
-                fWg = np.concatenate([p[1] for p in fwd_parts])
-                fOg = np.concatenate([p[2] for p in fwd_parts])
-                fids = np.concatenate([p[3] for p in fwd_parts])
-            self._forward(fSg, fWg, fOg, fids)
+            self._forward(*(_cat(column) for column in zip(*fwd_parts)))
 
     def _any_downstream_full(self) -> bool:
         """Whether any buffer past stage 0 could block an upstream push.
@@ -958,7 +896,8 @@ class NumpyKernel(SimKernel):
         False means the blocked predicate is identically false this
         cycle (for every fidelity: precise blocking needs the specific
         partition full, conservative any partition — both imply a full
-        partition somewhere downstream), so the stacked path is exact.
+        partition somewhere downstream), so one segment spanning every
+        stage is exact.
         Pops only drain buffers, so the pre-pop check stays sufficient
         mid-cycle.  Only the blocking sims' rows are scanned — a full
         buffer of a discarding sim drops pushes instead of blocking.
@@ -977,7 +916,7 @@ class NumpyKernel(SimKernel):
         """Cheap skip: a blocking sim's downstream buffer can only be
         full while its next-stage slot count reaches the fullness bound
         (queue capacity, or whole-buffer capacity for FIFO/DAMQ).  The
-        sequenced walk defers its slot-count decrements, so the gate
+        stage walk defers its slot-count decrements, so the gate
         sees pre-pop counts — an over-approximation that can only make
         it compute an (exact) blocked mask it could have skipped."""
         nxt = (s + 1) * self.B
@@ -1237,18 +1176,14 @@ class NumpyKernel(SimKernel):
 
     def _inject(self) -> None:
         ms = self.measure_start_clock
-        cap = self.queue_capacity
         B = self.B
         slen = self.slen
         # Phase 1 — generation.  A stalled source makes no attempt (and
         # draws nothing); a non-stalled attempt arrives exactly when the
         # running attempt count hits the source's next decoded target.
-        if cap:
-            stalled = slen >= cap
-            self.src_stall += stalled
-            self.att += ~stalled
-        else:
-            self.att += 1
+        stalled = slen >= SOURCE_QUEUE_CAPACITY
+        self.src_stall += stalled
+        self.att += ~stalled
         # ``att`` sits strictly below ``target`` at every cycle start
         # (the target advances past it on each arrival), so a stalled
         # port can never read as a hit and needs no explicit mask.
@@ -1337,19 +1272,6 @@ class NumpyKernel(SimKernel):
                 self._tally("injected", va, self.pk_created[ids] >= ms)
             self.shead[sources] = (self.shead[sources] + 1) % self.K2
             slen[sources] -= 1
-        if self._discard_at_injection:
-            rejected = (~can).nonzero()[0]
-            if rejected.size:
-                sources = pending[rejected]
-                ids = head_ids[rejected]
-                if ms is not None:
-                    self._tally(
-                        "discarded",
-                        sources // self.N,
-                        self.pk_created[ids] >= ms,
-                    )
-                self.shead[sources] = (self.shead[sources] + 1) % self.K2
-                slen[sources] -= 1
 
     # ------------------------------------------------------------------
     # Packed state (must match ReferenceKernel.packed_state byte-for-byte)

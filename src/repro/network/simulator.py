@@ -18,8 +18,9 @@ switch-to-switch movement.  Flow control follows the configured protocol:
 
 * **blocking** — the arbiter treats an output as blocked when the
   downstream buffer cannot accept the candidate packet;
-* **discarding** — nothing is blocked; a packet that arrives at a full
-  buffer (including at injection) is dropped and counted.
+* **discarding** — nothing is blocked; a packet forwarded into a full
+  switch buffer is dropped and counted.  Under both protocols a packet
+  whose stage-0 buffer is full waits at its source.
 """
 
 from __future__ import annotations
@@ -56,12 +57,19 @@ __all__ = [
 ]
 
 #: Clock cycles represented by one network cycle (8 transmit + 4 route).
-DEFAULT_CYCLE_CLOCKS = 12
+CYCLE_CLOCKS = 12
+
+#: Packets each source can hold; a full queue stalls the generator.
+#: Under either protocol a packet whose stage-0 buffer is full waits
+#: here rather than being dropped: the paper's processors are "simply
+#: message generators", and holding at the source reproduces its Table 3
+#: numbers, where only switch-to-switch transfers discard.
+SOURCE_QUEUE_CAPACITY = 4
 
 #: Version tag of the simulator snapshot format.  Bump whenever the
 #: structure of :meth:`OmegaNetworkSimulator.snapshot` changes; restore
 #: refuses snapshots from any other version.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Test hook: when set to an integer N, a run that writes a checkpoint at
 #: exactly cycle N hard-exits the process immediately afterwards (the
@@ -94,19 +102,11 @@ class NetworkConfig:
     hot_fraction: float = 0.05
     hot_port: int = 0
     seed: int = 1988
-    cycle_clocks: int = DEFAULT_CYCLE_CLOCKS
     packet_size: int = 1
     #: When set, packet sizes are uniform on [packet_size, packet_size_max]
     #: (variable-length traffic — the paper's conclusion flags this as the
     #: DAMQ buffer's real target).
     packet_size_max: int | None = None
-    source_queue_capacity: int = 4
-    #: Under the discarding protocol, whether a generated packet that finds
-    #: the stage-0 buffer full is dropped (True) or held at the generator
-    #: until it fits (False).  The paper's processors are "simply message
-    #: generators"; holding at the source reproduces its Table 3 numbers,
-    #: where only switch-to-switch transfers discard.
-    discard_at_injection: bool = False
     #: Blocking flow-control fidelity: "precise" lets the upstream switch
     #: know the exact downstream queue a packet will join (idealized
     #: pre-routing); "conservative" only lets it know whether a packet of
@@ -158,7 +158,17 @@ class NetworkConfig:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "NetworkConfig":
-        """Rebuild a config from a :meth:`to_state` dict."""
+        """Rebuild a config from a :meth:`to_state` dict.
+
+        A field this version does not have (say, from a snapshot written
+        before it was removed) raises :class:`ConfigurationError` naming
+        it, rather than a bare ``TypeError`` from the constructor.
+        """
+        unknown = sorted(set(state) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown NetworkConfig field(s) {', '.join(unknown)}"
+            )
         kwargs = dict(state)
         kwargs["protocol"] = Protocol.from_name(kwargs["protocol"])
         return cls(**kwargs)
@@ -221,12 +231,6 @@ class OmegaNetworkSimulator:
         self._loss_rng = (
             root.spawn("link-loss") if config.packet_loss_rate > 0.0 else None
         )
-        discarding = config.protocol is Protocol.DISCARDING
-        queue_capacity = (
-            0
-            if discarding and config.discard_at_injection
-            else config.source_queue_capacity
-        )
         self.sources = [
             Source(
                 port=port,
@@ -235,15 +239,15 @@ class OmegaNetworkSimulator:
                 pattern=self.pattern,
                 factory=self.factory,
                 rng=root.spawn(f"source{port}"),
-                queue_capacity=queue_capacity,
-                cycle_clocks=config.cycle_clocks,
+                queue_capacity=SOURCE_QUEUE_CAPACITY,
+                cycle_clocks=CYCLE_CLOCKS,
                 packet_size=config.packet_size,
                 packet_size_max=config.packet_size_max,
             )
             for port in range(config.num_ports)
         ]
         self.sinks = [
-            Sink(port, config.cycle_clocks) for port in range(config.num_ports)
+            Sink(port, CYCLE_CLOCKS) for port in range(config.num_ports)
         ]
         # Pre-resolve inter-stage wiring: downstream[stage][switch][output].
         self._downstream: list[list[list[_StageLink]]] = []
@@ -281,9 +285,6 @@ class OmegaNetworkSimulator:
         self._last_stage = stages - 1
         self._serialize = config.serialize_links
         self._blocking = config.protocol is Protocol.BLOCKING
-        self._discard_at_injection = (
-            discarding and config.discard_at_injection
-        )
         # Where each source's port enters stage 0.
         self._entries = [
             self.topology.entry_point(port) for port in range(config.num_ports)
@@ -465,7 +466,6 @@ class OmegaNetworkSimulator:
 
     def _inject(self) -> None:
         """Generate new packets and push injection-queue heads into stage 0."""
-        discarding = self._discard_at_injection
         serialize = self._serialize
         cycle = self.cycle
         measure_start = self._measure_start_clock
@@ -498,20 +498,18 @@ class OmegaNetworkSimulator:
                     continue
                 # Injection completes at the end of this network cycle (the
                 # frame boundary), after the packet's mid-frame creation.
-                packet.injected_at = (cycle + 1) * self.config.cycle_clocks
+                packet.injected_at = (cycle + 1) * CYCLE_CLOCKS
                 switch.receive(entry.port, packet, local_output)
                 self._stage_slots[0] += packet.size
                 if self._in_measurement(packet):
                     meters.injected += 1
-            elif discarding:
-                self._count_discard(source.dequeue())
 
     def _complete_in_flight(self) -> None:
         """Land every serialized transfer whose last slot arrives now."""
         for entry in self._pending.pop(self.cycle, []):
             kind, stage, index, port, packet = entry
             if kind == "inject":
-                packet.injected_at = (self.cycle + 1) * self.config.cycle_clocks
+                packet.injected_at = (self.cycle + 1) * CYCLE_CLOCKS
                 local_output = packet.output_port_at_current_hop()
                 # The stage-0 input buffer is fed only by this source link,
                 # so the space checked at launch is still there.
@@ -616,7 +614,7 @@ class OmegaNetworkSimulator:
         already open (e.g. restored from a checkpoint) keeps its start.
         """
         if self._measure_start_clock is None:
-            self._measure_start_clock = self.cycle * self.config.cycle_clocks
+            self._measure_start_clock = self.cycle * CYCLE_CLOCKS
 
     def result(
         self, warmup_cycles: int, measure_cycles: int

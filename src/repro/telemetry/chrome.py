@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
-from repro.network.simulator import DEFAULT_CYCLE_CLOCKS
+from repro.network.simulator import CYCLE_CLOCKS
 from repro.telemetry.events import EVENT_KINDS, TraceEvent
 
 __all__ = ["validate_chrome_trace", "write_chrome_trace"]
@@ -35,7 +35,7 @@ _COUNTER_KINDS = ("enqueue", "dequeue")
 def write_chrome_trace(
     events: Iterable[TraceEvent],
     path: str | Path,
-    cycle_clocks: int = DEFAULT_CYCLE_CLOCKS,
+    cycle_clocks: int = CYCLE_CLOCKS,
 ) -> Path:
     """Write ``events`` to ``path`` in Chrome trace_event JSON format."""
     trace_events: list[dict[str, Any]] = [

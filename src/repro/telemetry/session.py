@@ -321,17 +321,10 @@ class TraceSession(Observer):
         written: list[Path] = []
         events = self.ring.events()
         if self.ring.capacity > 0:
+            # Both writers default to the network's 12-clock cycle.
+            written.append(write_vcd(events, target / f"{tag}.vcd"))
             written.append(
-                write_vcd(
-                    events, target / f"{tag}.vcd", cycle_clocks=config.cycle_clocks
-                )
-            )
-            written.append(
-                write_chrome_trace(
-                    events,
-                    target / f"{tag}.trace.json",
-                    cycle_clocks=config.cycle_clocks,
-                )
+                write_chrome_trace(events, target / f"{tag}.trace.json")
             )
         document = {
             "format": METRICS_VERSION,

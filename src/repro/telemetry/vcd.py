@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.errors import ConfigurationError
-from repro.network.simulator import DEFAULT_CYCLE_CLOCKS
+from repro.network.simulator import CYCLE_CLOCKS
 from repro.telemetry.events import TraceEvent
 
 __all__ = ["read_vcd", "write_vcd"]
@@ -67,7 +67,7 @@ def _signal_changes(
 def write_vcd(
     events: Iterable[TraceEvent],
     path: str | Path,
-    cycle_clocks: int = DEFAULT_CYCLE_CLOCKS,
+    cycle_clocks: int = CYCLE_CLOCKS,
 ) -> Path:
     """Write the queue-length/free-depth waveform of ``events`` to ``path``.
 

@@ -33,7 +33,6 @@ configs = st.fixed_dictionaries(
         # SAMQ statically partitions capacity across the radix-4 output
         # ports, so slots must stay divisible by 4.
         "slots_per_buffer": st.sampled_from([4, 8]),
-        "discard_at_injection": st.booleans(),
     }
 )
 
@@ -95,24 +94,43 @@ def test_batched_run_matches_individual_runs(cells, protocol, seed):
         assert fused.to_state() == alone.to_state()
 
 
+@pytest.mark.parametrize("per_stage", [False, True], ids=["gated", "per-stage"])
+@pytest.mark.parametrize(
+    "protocols",
+    [
+        [Protocol.BLOCKING] * 4,
+        [Protocol.BLOCKING, Protocol.DISCARDING] * 2,
+    ],
+    ids=["blocking", "mixed-protocol"],
+)
 @pytest.mark.parametrize("seed", [1988, 7])
-def test_mixed_kind_blocking_batch_matches_reference_every_cycle(seed):
-    # One fused kernel holding all four buffer kinds under blocking
-    # hot-spot traffic near saturation, so the sequenced walk and the
-    # FIFO's oldest-head selection both run alongside the queue kinds.
+def test_mixed_kind_blocking_batch_matches_reference_every_cycle(
+    seed, protocols, per_stage, monkeypatch
+):
+    # One fused kernel holding all four buffer kinds under hot-spot
+    # traffic near saturation, so the per-stage walk and the FIFO's
+    # oldest-head selection both run alongside the queue kinds.  The
+    # mixed-protocol batch fuses discarding sims into a blocking walk,
+    # whose blocked mask they must ignore.
+    if per_stage:
+        # Every cycle walks one network stage at a time, even when no
+        # downstream buffer is full.
+        monkeypatch.setattr(
+            NumpyKernel, "_any_downstream_full", lambda self: True
+        )
     members = [
         NetworkConfig(
             num_ports=16,
             radix=4,
             buffer_kind=kind,
-            protocol=Protocol.BLOCKING,
+            protocol=protocol,
             arbiter_kind=arbiter,
             traffic_kind="hotspot",
             offered_load=0.9,
             seed=seed + index,
         )
-        for index, (kind, arbiter) in enumerate(
-            zip(KINDS, ["smart", "dumb", "smart", "dumb"])
+        for index, (kind, protocol, arbiter) in enumerate(
+            zip(KINDS, protocols, ["smart", "dumb", "smart", "dumb"])
         )
     ]
     fused = NumpyKernel.batch(members)

@@ -39,9 +39,7 @@ class TestEquivalenceForUnitPackets:
 class TestSerializedTransfers:
     def test_multi_slot_packets_arrive_intact(self):
         simulator = OmegaNetworkSimulator(
-            SMALL.with_overrides(
-                offered_load=0.3, packet_size=3, source_queue_capacity=2
-            )
+            SMALL.with_overrides(offered_load=0.3, packet_size=3)
         )
         result = simulator.run(warmup_cycles=50, measure_cycles=400)
         assert result.meters.delivered > 0
@@ -67,9 +65,7 @@ class TestSerializedTransfers:
             SMALL.with_overrides(offered_load=0.1, packet_size=1), 100, 500
         )
         large = simulate(
-            SMALL.with_overrides(
-                offered_load=0.1, packet_size=3, source_queue_capacity=2
-            ),
+            SMALL.with_overrides(offered_load=0.1, packet_size=3),
             100,
             500,
         )

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.metrics import Meters
 from repro.network.simulator import (
+    SOURCE_QUEUE_CAPACITY,
     NetworkConfig,
     OmegaNetworkSimulator,
     simulate,
@@ -52,16 +53,15 @@ class TestConstruction:
         assert config.num_ports == 16  # untouched fields preserved
 
     def test_discarding_source_queues(self):
-        sim_block = OmegaNetworkSimulator(
-            SMALL.with_overrides(protocol=Protocol.BLOCKING)
-        )
-        assert sim_block.sources[0].queue_capacity == 4
-        sim_drop = OmegaNetworkSimulator(
-            SMALL.with_overrides(
-                protocol=Protocol.DISCARDING, discard_at_injection=True
+        # Both protocols hold packets at the source while stage 0 is full.
+        for protocol in (Protocol.BLOCKING, Protocol.DISCARDING):
+            simulator = OmegaNetworkSimulator(
+                SMALL.with_overrides(protocol=protocol)
             )
-        )
-        assert sim_drop.sources[0].queue_capacity == 0
+            assert all(
+                source.queue_capacity == SOURCE_QUEUE_CAPACITY
+                for source in simulator.sources
+            )
 
 
 class TestConservation:
@@ -90,7 +90,6 @@ class TestConservation:
                 buffer_kind=kind,
                 protocol=Protocol.DISCARDING,
                 offered_load=0.9,
-                discard_at_injection=True,
             )
         )
         simulator._measure_start_clock = 0  # count discards from cycle 0

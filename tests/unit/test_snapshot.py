@@ -195,6 +195,15 @@ def test_network_config_state_round_trip():
     assert NetworkConfig.from_state(cfg.to_state()) == cfg
 
 
+def test_network_config_from_state_names_an_unknown_field():
+    # A config dict from an older snapshot can carry a field this version
+    # no longer has; rebuilding it must fail loudly, naming the field.
+    state = config().to_state()
+    state["discard_at_injection"] = False
+    with pytest.raises(ConfigurationError, match="discard_at_injection"):
+        NetworkConfig.from_state(state)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint files
 # ---------------------------------------------------------------------------
