@@ -1,55 +1,67 @@
-"""Registry and driver for all paper experiments."""
+"""Registry and driver for all paper experiments.
+
+The registry maps each experiment id to a callable that imports the
+experiment's module on its first call.  Importing this module therefore
+loads no experiment: a simulation run never pays for scipy, the Markov
+chains, the chip model or the fault campaigns that only Table 1, Table 2
+and some extensions need.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from importlib import import_module
 from pathlib import Path
 from typing import Any
 
 from repro.cache.runtime import CacheContext, activate
 from repro.cache.store import ResultCache
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    ext_arch,
-    ext_faults,
-    ext_radix,
-    ext_slotsize,
-    ext_validation,
-    ext_varlen,
-    figure1,
-    figure3,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
 from repro.experiments.report import ExperimentResult
 
 __all__ = ["EXPERIMENTS", "PAPER_EXPERIMENTS", "run_experiment", "run_all"]
 
+
+def _deferred(experiment_id: str) -> Callable[..., ExperimentResult]:
+    """``run`` of the experiment's module (the id with ``_`` for ``-``),
+    imported on the first call."""
+    module = f"repro.experiments.{experiment_id.replace('-', '_')}"
+
+    def run(**options: Any) -> ExperimentResult:
+        return import_module(module).run(**options)
+
+    return run
+
+
 #: The paper's own artifacts, by id.
 PAPER_EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "table5": table5.run,
-    "table6": table6.run,
-    "figure1": figure1.run,
-    "figure3": figure3.run,
+    experiment_id: _deferred(experiment_id)
+    for experiment_id in (
+        "table1",
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+        "table6",
+        "figure1",
+        "figure3",
+    )
 }
 
 #: All experiments: the paper's plus this reproduction's extensions.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     **PAPER_EXPERIMENTS,
-    "ext-varlen": ext_varlen.run,
-    "ext-slotsize": ext_slotsize.run,
-    "ext-validation": ext_validation.run,
-    "ext-radix": ext_radix.run,
-    "ext-faults": ext_faults.run,
-    "ext-arch": ext_arch.run,
+    **{
+        experiment_id: _deferred(experiment_id)
+        for experiment_id in (
+            "ext-varlen",
+            "ext-slotsize",
+            "ext-validation",
+            "ext-radix",
+            "ext-faults",
+            "ext-arch",
+        )
+    },
 }
 
 

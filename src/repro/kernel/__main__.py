@@ -33,13 +33,17 @@ from repro.switch.flow_control import Protocol
 #: covering both flow-control protocols and both arbiter priorities,
 #: plus a saturated hot-spot FIFO: there a downstream FIFO receives
 #: packets out of creation order, so its read order must follow arrival,
-#: not packet id.
+#: not packet id.  The last two rows run the other switch sizes of the
+#: radix experiment: 2x2 switches in six stages, 8x8 switches in two.
+#: Each row is (kind, protocol, arbiter, traffic, load, radix, slots).
 CI_GRID = (
-    ("FIFO", Protocol.BLOCKING, "smart", "uniform", 0.5),
-    ("DAMQ", Protocol.BLOCKING, "dumb", "uniform", 0.7),
-    ("SAMQ", Protocol.DISCARDING, "smart", "uniform", 0.5),
-    ("SAFC", Protocol.DISCARDING, "dumb", "uniform", 0.5),
-    ("FIFO", Protocol.BLOCKING, "smart", "hotspot", 0.9),
+    ("FIFO", Protocol.BLOCKING, "smart", "uniform", 0.5, 4, 4),
+    ("DAMQ", Protocol.BLOCKING, "dumb", "uniform", 0.7, 4, 4),
+    ("SAMQ", Protocol.DISCARDING, "smart", "uniform", 0.5, 4, 4),
+    ("SAFC", Protocol.DISCARDING, "dumb", "uniform", 0.5, 4, 4),
+    ("FIFO", Protocol.BLOCKING, "smart", "hotspot", 0.9, 4, 4),
+    ("SAMQ", Protocol.BLOCKING, "smart", "uniform", 0.7, 2, 4),
+    ("SAFC", Protocol.BLOCKING, "dumb", "uniform", 0.7, 8, 16),
 )
 
 
@@ -48,14 +52,15 @@ def _diff_main(args: argparse.Namespace) -> int:
         configs = [
             NetworkConfig(
                 buffer_kind=kind,
-                slots_per_buffer=4,
+                radix=radix,
+                slots_per_buffer=slots,
                 protocol=protocol,
                 arbiter_kind=arbiter,
                 traffic_kind=traffic,
                 offered_load=load,
                 seed=args.seed,
             )
-            for kind, protocol, arbiter, traffic, load in CI_GRID
+            for kind, protocol, arbiter, traffic, load, radix, slots in CI_GRID
         ]
     else:
         configs = [
@@ -141,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="run the CI smoke grid (one config per buffer kind, both "
         "protocols and both arbiter priorities covered, plus a "
-        "saturated hot-spot FIFO)",
+        "saturated hot-spot FIFO and blocking 2x2 and 8x8 switches)",
     )
     diff.add_argument("--kind", default="DAMQ")
     diff.add_argument("--slots", type=int, default=4)

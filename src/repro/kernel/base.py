@@ -169,6 +169,11 @@ def numpy_unsupported_reason(config: "NetworkConfig") -> str | None:
             f"extension scheduler {config.arbiter_kind!r} "
             "(only the paper's smart/dumb arbiters are vectorized)"
         )
+    if config.radix > 16:
+        return (
+            f"radix {config.radix} > 16 (the arbitration key packs the "
+            "output index into 4 bits)"
+        )
     if config.packet_size != 1 or config.packet_size_max is not None:
         return "variable/multi-slot packet sizes"
     if config.serialize_links:

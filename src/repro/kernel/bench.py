@@ -48,7 +48,6 @@ from repro.utils.digest import digest_json
 __all__ = [
     "KERNEL_BENCH_SCHEMA",
     "bench_grids",
-    "load_kernel_bench",
     "run_kernel_bench",
     "write_kernel_bench",
 ]
@@ -246,14 +245,3 @@ def write_kernel_bench(document: dict[str, Any], path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(document, indent=2) + "\n")
     return path
-
-
-def load_kernel_bench(path: str | Path) -> dict[str, Any]:
-    """Read a kernel benchmark document, validating the schema version."""
-    document = json.loads(Path(path).read_text())
-    if document.get("schema") != KERNEL_BENCH_SCHEMA:
-        raise ConfigurationError(
-            f"kernel benchmark file {path} has schema "
-            f"{document.get('schema')!r}, expected {KERNEL_BENCH_SCHEMA}"
-        )
-    return document

@@ -82,8 +82,8 @@ __all__ = ["NumpyKernel", "batch_group_key"]
 
 #: Bit layout of the arbitration key: length in the high bits, stale
 #: count (smart scheme only) in the middle, output preference in the low
-#: nibble.  Requires radix <= 16 and stale counts < 2**40 — both far
-#: beyond any configuration the simulator accepts in practice.
+#: nibble.  Requires radix <= 16 (``numpy_unsupported_reason`` keeps
+#: wider switches on the reference kernel) and stale counts < 2**40.
 _LENGTH_SHIFT = 44
 _STALE_SHIFT = 4
 
@@ -162,11 +162,6 @@ class NumpyKernel(SimKernel):
         self.S = topology.num_stages
         self.SV = self.S * self.B
         self.W = topology.switches_per_stage
-        if self.R > 16:
-            raise ConfigurationError(
-                "the numpy backend's arbitration key packs the output "
-                "index into 4 bits; radix > 16 needs the reference backend"
-            )
         self.kinds = kinds = [cfg.buffer_kind for cfg in configs]
         self.C = config.slots_per_buffer
         cq_list = []

@@ -1,18 +1,13 @@
-"""Shared utilities: seeded RNG streams, backoff, tables, events, stats."""
+"""Shared utilities: seeded RNG streams, backoff, tables, stats."""
 
 from repro.utils.backoff import BackoffPolicy
-from repro.utils.events import Event, EventQueue
-from repro.utils.rng import RandomStream, spawn_streams
-from repro.utils.stats import OnlineStats, RateMeter
+from repro.utils.rng import RandomStream
+from repro.utils.stats import OnlineStats
 from repro.utils.tables import TextTable
 
 __all__ = [
     "BackoffPolicy",
-    "Event",
-    "EventQueue",
     "OnlineStats",
     "RandomStream",
-    "RateMeter",
     "TextTable",
-    "spawn_streams",
 ]

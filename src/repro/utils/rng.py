@@ -17,7 +17,7 @@ import numpy as np
 
 _T = TypeVar("_T")
 
-__all__ = ["RandomStream", "BatchedBernoulli", "spawn_streams"]
+__all__ = ["RandomStream", "BatchedBernoulli"]
 
 
 def _seed_for(root_seed: int, name: str) -> int:
@@ -237,8 +237,3 @@ class BatchedBernoulli:
                 state["uinteger"] = self._cache_val
                 self._bit.state = state
         self._buffer = None
-
-
-def spawn_streams(seed: int, names: Sequence[str]) -> dict[str, RandomStream]:
-    """Create one independent :class:`RandomStream` per name in ``names``."""
-    return {name: RandomStream(seed, name) for name in names}

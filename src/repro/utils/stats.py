@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-__all__ = ["OnlineStats", "RateMeter"]
+__all__ = ["OnlineStats"]
 
 
 class OnlineStats:
@@ -113,41 +113,3 @@ class OnlineStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OnlineStats(count={self.count}, mean={self.mean:.4g})"
-
-
-class RateMeter:
-    """Counts events over a window of cycles and reports them as a rate.
-
-    The simulators use one meter per quantity of interest (packets offered,
-    injected, delivered, discarded).  ``rate`` normalises by the window
-    length and a caller-supplied width (e.g. number of network ports) so
-    that the result is directly comparable to the paper's "fraction of link
-    capacity" axis.
-    """
-
-    def __init__(self, width: int = 1) -> None:
-        if width < 1:
-            raise ValueError("width must be positive")
-        self.width = width
-        self.events = 0
-        self.cycles = 0
-
-    def count(self, n: int = 1) -> None:
-        """Record ``n`` events."""
-        self.events += n
-
-    def advance(self, cycles: int = 1) -> None:
-        """Advance the observation window by ``cycles``."""
-        self.cycles += cycles
-
-    @property
-    def rate(self) -> float:
-        """Events per cycle per unit of width; ``nan`` before any cycle."""
-        if self.cycles == 0:
-            return math.nan
-        return self.events / (self.cycles * self.width)
-
-    def reset(self) -> None:
-        """Zero the meter (used when a warm-up window ends)."""
-        self.events = 0
-        self.cycles = 0

@@ -2,6 +2,12 @@
 simulation-heavy tables are covered by the integration tests and
 benchmarks)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -54,6 +60,57 @@ class TestRunnerRegistry:
             "ext-validation",
             "ext-radix",
         } <= set(EXPERIMENTS)
+
+    def test_cold_start_imports_only_the_requested_experiment(self):
+        # A simulation process must not pay for scipy, the Markov chains,
+        # the chip model or the fault campaigns: importing the runner
+        # loads no experiment, and the simulation experiments load none
+        # of those packages.
+        probe = """
+import json, sys
+from repro.experiments.runner import EXPERIMENTS
+experiments = [
+    "repro.experiments." + e.replace("-", "_") for e in EXPERIMENTS
+]
+eager = [m for m in experiments if m in sys.modules]
+import repro.experiments.figure3, repro.experiments.table3
+import repro.experiments.table4, repro.experiments.table5
+import repro.experiments.table6
+heavy = ["scipy", "repro.markov", "repro.chip", "repro.faults", "repro.analysis"]
+print(json.dumps({
+    "ids": list(EXPERIMENTS),
+    "eager": eager,
+    "heavy": [m for m in heavy if m in sys.modules],
+}))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded = json.loads(out.stdout)
+        assert loaded["eager"] == []
+        assert loaded["heavy"] == []
+        assert loaded["ids"] == [
+            "table1",
+            "table2",
+            "table3",
+            "table4",
+            "table5",
+            "table6",
+            "figure1",
+            "figure3",
+            "ext-varlen",
+            "ext-slotsize",
+            "ext-validation",
+            "ext-radix",
+            "ext-faults",
+            "ext-arch",
+        ]
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -84,6 +84,23 @@ class TestResolveBackend:
         config = NetworkConfig(serialize_links=True, **QUICK)
         assert resolve_backend(config) == "reference"
 
+    def test_radix_beyond_the_arbitration_key_stays_on_reference(
+        self, monkeypatch
+    ):
+        from repro.network.simulator import simulate
+
+        config = NetworkConfig(num_ports=32, radix=32, seed=1988)
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        preferred = simulate(config, warmup_cycles=10, measure_cycles=30)
+        reference = simulate(
+            config, warmup_cycles=10, measure_cycles=30, backend="reference"
+        )
+        assert preferred.to_state() == reference.to_state()
+        with pytest.raises(ConfigurationError, match="radix 32"):
+            simulate(
+                config, warmup_cycles=10, measure_cycles=30, backend="numpy"
+            )
+
     def test_forced_reference_always_works(self):
         assert (
             resolve_backend(NetworkConfig(**QUICK), "reference", sanitize=True)

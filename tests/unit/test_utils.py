@@ -1,12 +1,11 @@
-"""Unit tests for the utility layer: RNG streams, stats, tables, events."""
+"""Unit tests for the utility layer: RNG streams, stats, tables."""
 
 import math
 
 import pytest
 
-from repro.utils.events import EventQueue
-from repro.utils.rng import BatchedBernoulli, RandomStream, spawn_streams
-from repro.utils.stats import OnlineStats, RateMeter
+from repro.utils.rng import BatchedBernoulli, RandomStream
+from repro.utils.stats import OnlineStats
 from repro.utils.tables import TextTable, format_value
 
 
@@ -56,11 +55,6 @@ class TestRandomStream:
             assert 0.25 < values.count(letter) / 3_000 < 0.42
         with pytest.raises(ValueError):
             stream.choice([])
-
-    def test_spawn_streams_helper(self):
-        streams = spawn_streams(9, ["a", "b"])
-        assert set(streams) == {"a", "b"}
-        assert streams["a"].randint(0, 10**9) != streams["b"].randint(0, 10**9)
 
 
 class TestBatchedBernoulli:
@@ -177,28 +171,6 @@ class TestOnlineStats:
         assert math.isnan(stats.mean_half_width())
 
 
-class TestRateMeter:
-    def test_rate_normalizes_by_width_and_cycles(self):
-        meter = RateMeter(width=4)
-        meter.count(6)
-        meter.advance(3)
-        assert meter.rate == pytest.approx(0.5)
-
-    def test_rate_before_cycles_is_nan(self):
-        assert math.isnan(RateMeter().rate)
-
-    def test_reset(self):
-        meter = RateMeter()
-        meter.count(5)
-        meter.advance(5)
-        meter.reset()
-        assert meter.events == 0 and meter.cycles == 0
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            RateMeter(width=0)
-
-
 class TestTextTable:
     def test_render_aligns_columns(self):
         table = TextTable("Demo", ["a", "long header"])
@@ -222,49 +194,3 @@ class TestTextTable:
         assert format_value(0.5) == "0.500"
         assert format_value("text") == "text"
         assert format_value(None) == ""
-
-
-class TestEventQueue:
-    def test_events_fire_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(5, lambda: fired.append("b"))
-        queue.schedule(2, lambda: fired.append("a"))
-        queue.run()
-        assert fired == ["a", "b"]
-        assert queue.now == 5
-
-    def test_ties_fire_in_insertion_order(self):
-        queue = EventQueue()
-        fired = []
-        for name in "xyz":
-            queue.schedule(1, lambda n=name: fired.append(n))
-        queue.run()
-        assert fired == ["x", "y", "z"]
-
-    def test_run_until_stops_at_horizon(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1, lambda: fired.append(1))
-        queue.schedule(10, lambda: fired.append(10))
-        assert queue.run_until(5) == 1
-        assert fired == [1]
-        assert queue.now == 5
-        assert len(queue) == 1
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1, lambda: None)
-
-    def test_events_can_schedule_events(self):
-        queue = EventQueue()
-        fired = []
-
-        def chain():
-            fired.append(queue.now)
-            if queue.now < 3:
-                queue.schedule(1, chain)
-
-        queue.schedule(1, chain)
-        queue.run()
-        assert fired == [1, 2, 3]
