@@ -23,6 +23,7 @@ from repro.analysis.model import (
     verify_buffer,
     verify_dominance,
     verify_fifo_refinement,
+    verify_starvation,
     verify_switch,
 )
 from repro.core.registry import PAPER_ORDER
@@ -93,6 +94,57 @@ class TestRefinementAndDominance:
     def test_dominance_rejects_damq_argument(self):
         with pytest.raises(ConfigurationError):
             verify_dominance("DAMQ", 4, 2)
+
+
+#: (states, transitions) of the 2-port, 4-slot sweeps.  Any refactor of
+#: the transition systems must leave the explored graphs unchanged.
+BUFFER_PINS = {
+    "FIFO": (56, 129),
+    "SAMQ": (22, 61),
+    "SAFC": (22, 61),
+    "DAMQ": (684, 2116),
+    "DAMQ-RSV": (552, 1728),
+    "CQ": (22, 61),
+}
+SWITCH_PINS = {
+    "FIFO": (961, 28478),
+    "SAMQ": (81, 3240),
+    "SAFC": (81, 3888),
+    "DAMQ": (225, 9000),
+    "DAMQ-RSV": (169, 7022),
+    "CQ": (81, 3888),
+}
+STARVATION_PINS = {"DAMQ-RSV": (13, 36), "CQ": (9, 24)}
+
+
+def explored(result):
+    assert result.ok, result.describe()
+    assert not result.stats.truncated
+    return result.stats.states, result.stats.transitions
+
+
+class TestStateSpacePins:
+    @pytest.mark.parametrize("kind", sorted(BUFFER_PINS))
+    def test_buffer_sweep(self, kind):
+        assert explored(verify_buffer(kind, 4, 2)) == BUFFER_PINS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(SWITCH_PINS))
+    def test_switch_sweep(self, kind):
+        assert explored(verify_switch(kind, 2, 4)) == SWITCH_PINS[kind]
+
+    def test_fifo_refinement(self):
+        assert explored(verify_fifo_refinement(4, 2)) == (20, 32)
+
+    @pytest.mark.parametrize("kind", ["SAMQ", "SAFC"])
+    def test_dominance_and_strict_witnesses(self, kind):
+        result = verify_dominance(kind, 4, 2)
+        assert explored(result) == (216, 576)
+        assert result.strict_witnesses == 96
+
+    @pytest.mark.parametrize("kind", sorted(STARVATION_PINS))
+    def test_starvation(self, kind):
+        result = verify_starvation(kind, 4, 2)
+        assert explored(result) == STARVATION_PINS[kind]
 
 
 class TestSelfTest:
