@@ -27,9 +27,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro.analysis.lint import RULES, lint_paths
 from repro.analysis.report import render_github, render_json, render_text
+
+if TYPE_CHECKING:
+    from repro.analysis.model import ModelCheckResult
 
 __all__ = ["main", "verify_main"]
 
@@ -86,17 +90,16 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _export_counterexample(
-    result: "object", directory: str
+    result: ModelCheckResult, directory: str
 ) -> list[str]:
     """Write the trace JSON, replay script and waveforms; return paths."""
     import json
     from pathlib import Path
 
-    counterexample = result.counterexample  # type: ignore[attr-defined]
+    counterexample = result.counterexample
     if counterexample is None:
         return []
-    config = result.config  # type: ignore[attr-defined]
-    basename = f"cex-{config['system']}-{config['kind'].lower()}"
+    basename = f"cex-{result.config['system']}-{result.kind.lower()}"
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     json_path = target / f"{basename}.json"
@@ -160,7 +163,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
                         kind,
                         args.slots,
                         args.ports,
-                        protocol=args.protocol,
                         exact_layout=not args.collapse_layout,
                         max_states=args.max_states,
                         max_depth=args.max_depth,
@@ -172,9 +174,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
                         kind,
                         args.ports,
                         args.slots,
-                        protocol=args.protocol,
-                        exact_layout=False,
-                        check_arbiter=not args.no_arbiter_check,
                         max_states=args.max_states,
                         max_depth=args.max_depth,
                     )
@@ -311,21 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         help="which transition system(s) to explore (default: both)",
     )
     model_parser.add_argument(
-        "--protocol",
-        choices=("discarding", "blocking"),
-        default="discarding",
-        help="full-buffer arrival semantics (default: discarding)",
-    )
-    model_parser.add_argument(
         "--collapse-layout",
         action="store_true",
         help="key single-buffer DAMQ states on contents, not the exact "
         "pointer-RAM layout (smaller, weaker search)",
-    )
-    model_parser.add_argument(
-        "--no-arbiter-check",
-        action="store_true",
-        help="skip the per-state real-arbiter conformance check",
     )
     model_parser.add_argument(
         "--max-states", type=int, default=None, help="state budget"

@@ -25,7 +25,6 @@ from typing import Any
 from repro.analysis.properties import PropertyViolation, Violation
 from repro.core.buffer import SwitchBuffer
 from repro.core.packet import Packet
-from repro.core.registry import make_buffer
 from repro.errors import ConfigurationError, ReproError
 
 __all__ = ["Counterexample"]
@@ -210,62 +209,14 @@ if __name__ == "__main__":
         return {"vcd": vcd_path, "chrome": chrome_path}
 
     def _build_traced(self, session: Any) -> list[SwitchBuffer]:
+        """The rebuilt system's datapath, adopted by ``session``."""
+        from repro.analysis.model import build_system
         from repro.instrument import observe
 
-        system = self.config.get("system")
-        if system == "starvation":
-            # Single-buffer arrive/depart trace, like "buffer".
-            buffer = make_buffer(
-                self.config["kind"],
-                self.config["capacity"],
-                self.config["num_outputs"],
-            )
-            return [observe(buffer, session, "buffer0")]
-        if system == "buffer":
-            buffer = make_buffer(
-                self.config["kind"],
-                self.config["capacity"],
-                self.config["num_outputs"],
-            )
-            return [observe(buffer, session, "buffer0")]
-        if system == "switch":
-            return [
-                observe(
-                    make_buffer(
-                        self.config["kind"],
-                        self.config["slots"],
-                        self.config["num_ports"],
-                    ),
-                    session,
-                    f"in{port}",
-                )
-                for port in range(self.config["num_ports"])
-            ]
-        if system == "refinement-fifo":
-            damq = make_buffer(
-                "DAMQ", self.config["capacity"], self.config["num_outputs"]
-            )
-            fifo = make_buffer(
-                "FIFO", self.config["capacity"], self.config["num_outputs"]
-            )
-            return [
-                observe(damq, session, "damq"),
-                observe(fifo, session, "fifo"),
-            ]
-        if system == "dominance":
-            partitioned = make_buffer(
-                self.config["kind"],
-                self.config["capacity"],
-                self.config["num_outputs"],
-            )
-            damq = make_buffer(
-                "DAMQ", self.config["capacity"], self.config["num_outputs"]
-            )
-            return [
-                observe(partitioned, session, "partitioned"),
-                observe(damq, session, "damq"),
-            ]
-        raise ConfigurationError(f"unknown transition system {system!r}")
+        return [
+            observe(buffer, session, label)
+            for label, buffer in build_system(self.config).datapath()
+        ]
 
     def _drive(
         self,

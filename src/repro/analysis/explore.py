@@ -7,6 +7,14 @@ state values) and the parent/action records needed to reconstruct a
 counterexample.  Breadth-first order makes the first violation found a
 *minimal* one: no shorter action sequence reaches any violating state.
 
+Every system derives from :class:`TransitionSystem`, which owns what the
+systems share: the successor walk (probe, enumerate, apply), the
+push/pop wrappers that turn an implementation error into a structured
+violation, the scratch buffers states are restored into, and the
+configuration round trip (a system's config *is* its constructor
+arguments, so a serialized counterexample rebuilds the very system that
+found it).
+
 Systems signal violations by raising
 :class:`repro.analysis.properties.PropertyViolation` from their successor
 generator (with the in-flight action attached); the engine converts the
@@ -16,12 +24,16 @@ trace from the initial state.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator, Protocol
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Any, ClassVar, Hashable, Iterator, Sequence
 
 from repro.analysis.properties import PropertyViolation, Violation
-from repro.errors import InvariantError
+from repro.core.buffer import SwitchBuffer
+from repro.core.packet import Packet
+from repro.errors import ConfigurationError, InvariantError, ReproError
 
 __all__ = [
     "Action",
@@ -39,22 +51,163 @@ Action = tuple[Any, ...]
 Edge = tuple[int, int, Action]
 
 
-class TransitionSystem(Protocol):
-    """What the engine needs from a system under exploration."""
+class TransitionSystem(ABC):
+    """Base of every transition system the engine explores.
 
+    A concrete system is a dataclass whose fields are exactly its
+    constructor arguments: :meth:`config` serializes them under the
+    registry :attr:`name` and :meth:`from_config` is its strict inverse.
+    Subclasses supply :meth:`initial`, :meth:`enumerate_actions` and
+    :meth:`apply`; :meth:`probe` (state-level checks) and
+    :meth:`datapath` (the buffers the system drives) are optional.
+    """
+
+    #: Registry name, stored as ``config()["system"]``.
+    name: ClassVar[str]
+    #: Buffer kind named in this system's violations.
+    kind: str
+
+    @abstractmethod
     def initial(self) -> tuple[Hashable, Any]:
         """Canonical key and opaque payload of the initial state."""
-        ...
+
+    @abstractmethod
+    def enumerate_actions(self, payload: Any) -> list[Action]:
+        """Every action enabled in the state ``payload``, in a fixed order."""
+
+    @abstractmethod
+    def apply(self, payload: Any, action: Action) -> tuple[Hashable, Any]:
+        """Key and payload of the state ``action`` leads to."""
+
+    def probe(self, payload: Any) -> None:
+        """Checks on the state itself, run before its successors."""
 
     def successors(
         self, payload: Any
     ) -> Iterator[tuple[Action, Hashable, Any]]:
         """Enumerate ``(action, successor key, successor payload)``.
 
-        Must be deterministic.  Raises :class:`PropertyViolation` (with
-        the action attached) when a property fails along a transition.
+        Deterministic.  Raises :class:`PropertyViolation` (with the
+        action attached) when a property fails along a transition.
         """
-        ...
+        self.probe(payload)
+        for action in self.enumerate_actions(payload):
+            yield (action, *self.apply(payload, action))
+
+    # -- configuration round trip --------------------------------------
+
+    def config(self) -> dict[str, Any]:
+        """The system's name plus its constructor arguments."""
+        arguments = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)  # type: ignore[arg-type]
+        }
+        return {"system": self.name, **arguments}
+
+    @classmethod
+    def from_config(cls, config: dict[str, Any]) -> "TransitionSystem":
+        """Rebuild the system :meth:`config` described.
+
+        A field the constructor does not take, or one it needs that is
+        absent, raises :class:`ConfigurationError` naming it: a stale
+        trace must fail loudly, not replay a different system.
+        """
+        expected = [f.name for f in fields(cls)]  # type: ignore[arg-type]
+        given = set(config) - {"system"}
+        unknown = sorted(given - set(expected))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {cls.name} system field(s) {', '.join(unknown)}"
+            )
+        missing = [name for name in expected if name not in given]
+        if missing:
+            raise ConfigurationError(
+                f"missing {cls.name} system field(s) {', '.join(missing)}"
+            )
+        return cls(**{name: config[name] for name in expected})
+
+    # -- buffers -------------------------------------------------------
+
+    def datapath(self) -> list[tuple[str, SwitchBuffer]]:
+        """Fresh instances of the buffers this system drives, labelled
+        for waveform export."""
+        raise ConfigurationError(
+            f"the {self.name} system drives no buffer datapath"
+        )
+
+    def fresh_buffers(self) -> list[SwitchBuffer]:
+        """The :meth:`datapath` buffers without their labels."""
+        return [buffer for _label, buffer in self.datapath()]
+
+    @cached_property
+    def _scratch(self) -> list[SwitchBuffer]:
+        # Scratch instances, re-restored from snapshots per action.
+        return self.fresh_buffers()
+
+    def _restore(
+        self, snapshots: Sequence[dict[str, Any]]
+    ) -> list[SwitchBuffer]:
+        """The scratch buffers, restored from the leading ``snapshots``."""
+        for buffer, snapshot in zip(self._scratch, snapshots):
+            buffer.restore_state(snapshot)
+        return self._scratch
+
+    # -- structured violations -----------------------------------------
+
+    def violation(
+        self, prop: str, message: str, action: Action | None = None
+    ) -> PropertyViolation:
+        return PropertyViolation(
+            Violation(prop=prop, message=message, kind=self.kind), action
+        )
+
+    def push(
+        self,
+        buffer: SwitchBuffer,
+        packet: Packet,
+        action: Action,
+        where: str = "",
+    ) -> None:
+        """Push an arrival the specification accepts; any error the
+        buffer raises is an ``unexpected-reject`` violation."""
+        try:
+            buffer.push(packet, packet.destination)
+        except ReproError as error:
+            raise self.violation(
+                "unexpected-reject",
+                f"{where}push to output {packet.destination} raised "
+                f"{type(error).__name__}: {error}",
+                action,
+            ) from error
+
+    def pop(
+        self,
+        buffer: SwitchBuffer,
+        destination: int,
+        action: Action,
+        where: str = "",
+        expected: int | None = None,
+    ) -> Packet:
+        """Pop a queued packet; any error the buffer raises is an
+        ``unexpected-empty`` violation, and a packet other than the
+        ``expected`` id (when given) is a ``fifo-order`` one."""
+        try:
+            popped = buffer.pop(destination)
+        except ReproError as error:
+            raise self.violation(
+                "unexpected-empty",
+                f"{where}pop({destination}) raised {type(error).__name__} "
+                f"with a queued packet",
+                action,
+            ) from error
+        if expected is not None and popped.packet_id != expected:
+            raise self.violation(
+                "fifo-order",
+                f"{where}pop({destination}) returned packet "
+                f"{popped.packet_id}, FIFO order requires {expected}",
+                action,
+            )
+        return popped
 
 
 @dataclass

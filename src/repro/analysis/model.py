@@ -3,7 +3,8 @@
 Exhaustively explores every arrival × grant × departure interleaving of
 the paper's four buffer architectures at small parameters, in lockstep
 with the reference specifications of :mod:`repro.analysis.properties`.
-Two transition systems are provided:
+Five transition systems are provided, each a
+:class:`~repro.analysis.explore.TransitionSystem`:
 
 * :class:`BufferSystem` — one buffer, atomic arrive/depart/retire
   actions.  This is the finest interleaving model: any pop ordering the
@@ -18,20 +19,24 @@ Two transition systems are provided:
   explored state, for every priority-pointer value and both fairness
   schemes: its grants must be crossbar-legal, serve actual head packets,
   be *maximal* (work conservation) and leave buffer state untouched.
+* :class:`StarvationSystem`, :class:`FifoRefinementSystem` and
+  :class:`DominanceSystem` — the no-starvation and refinement
+  properties below.
 
 Soundness of the state canonicalization:
 
 * Packet ids are renumbered canonically after every transition.  Ids
   never influence buffer behaviour (they are only identity-checked), so
   relabeling is a bisimulation.
-* In the default ``collapse`` layout mode, DAMQ states are keyed on list
-  *contents* (plus retirement), quotienting away the physical slot
-  threading.  Every ``SlotListManager`` operation is symmetric under
-  slot renaming (allocation always takes the free-list head, wherever it
-  physically is), so states equal up to renaming have isomorphic
-  futures.  ``exact`` layout mode keys on the full register file instead
-  and explores every reachable physical threading — the stronger check,
-  used by default for single-buffer verification where it stays small.
+* In ``collapse`` layout mode, DAMQ states are keyed on list *contents*
+  (plus retirement), quotienting away the physical slot threading.
+  Every ``SlotListManager`` operation is symmetric under slot renaming
+  (allocation always takes the free-list head, wherever it physically
+  is), so states equal up to renaming have isomorphic futures.  The
+  switch system always keys this way.  ``exact`` layout mode keys on the
+  full register file instead and explores every reachable physical
+  threading — the stronger check, used by default for single-buffer
+  verification where it stays small.
 
 Refinement properties (the paper's architectural claims):
 
@@ -53,13 +58,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Hashable
 
 from repro.analysis.counterexample import Counterexample
-from repro.analysis.explore import Action, explore
+from repro.analysis.explore import Action, TransitionSystem, explore
 from repro.analysis.properties import (
     PropertyViolation,
     SpecBuffer,
@@ -87,6 +92,8 @@ from repro.switch.arbiter import CrossbarArbiter
 __all__ = [
     "BufferSystem",
     "CrossValidation",
+    "DominanceSystem",
+    "FifoRefinementSystem",
     "ModelCheckResult",
     "MutationResult",
     "MUTATIONS",
@@ -107,15 +114,28 @@ def _packet(packet_id: int, destination: int) -> Packet:
     return Packet(packet_id=packet_id, source=0, destination=destination)
 
 
-def _raise(
-    prop: str,
-    message: str,
-    kind: str,
-    action: Action | None = None,
-) -> PropertyViolation:
-    return PropertyViolation(
-        Violation(prop=prop, message=message, kind=kind), action
-    )
+def _relabel(
+    system: TransitionSystem, buffer: SwitchBuffer, spec: SpecBuffer
+) -> None:
+    """Renumber the buffer's packets through the spec's canonical ids."""
+    mapping = spec.renumber()
+    for packet in buffer.packets():
+        new_id = mapping.get(packet.packet_id)
+        if new_id is None:
+            raise system.violation(
+                "phantom-packet",
+                f"buffer stores packet {packet.packet_id} the "
+                f"specification does not hold",
+            )
+        packet.packet_id = new_id
+
+
+def _conform(buffer: SwitchBuffer, spec: SpecBuffer, action: Action) -> None:
+    try:
+        check_conformance(buffer, spec)
+    except PropertyViolation as error:
+        error.action = action
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -123,65 +143,42 @@ def _raise(
 # ----------------------------------------------------------------------
 
 
-class BufferSystem:
-    """All arrive/depart/retire interleavings of one buffer."""
+@dataclass
+class BufferSystem(TransitionSystem):
+    """All arrive/depart/retire interleavings of one buffer.
+
+    ``exact_layout`` keys states on the full register file;
+    ``exact_layout=False`` is the ``collapse`` mode, keyed on the
+    specification's contents.
+    """
 
     name = "buffer"
 
-    def __init__(
-        self,
-        kind: str,
-        capacity: int,
-        num_outputs: int,
-        *,
-        protocol: str = "discarding",
-        with_retirement: bool = True,
-        exact_layout: bool = True,
-    ) -> None:
-        if protocol not in ("discarding", "blocking"):
-            raise ConfigurationError(f"unknown protocol {protocol!r}")
-        self.kind = kind.upper()
-        self.capacity = capacity
-        self.num_outputs = num_outputs
-        self.protocol = protocol
-        self.with_retirement = with_retirement
-        self.exact_layout = exact_layout
-        # Scratch instance, re-restored from snapshots per action.
-        self._scratch = make_buffer(self.kind, capacity, num_outputs)
+    kind: str
+    capacity: int
+    num_outputs: int
+    _: KW_ONLY
+    exact_layout: bool = True
 
-    def config(self) -> dict[str, Any]:
-        return {
-            "system": self.name,
-            "kind": self.kind,
-            "capacity": self.capacity,
-            "num_outputs": self.num_outputs,
-            "protocol": self.protocol,
-            "with_retirement": self.with_retirement,
-            "exact_layout": self.exact_layout,
-        }
+    def __post_init__(self) -> None:
+        self.kind = self.kind.upper()
+
+    def datapath(self) -> list[tuple[str, SwitchBuffer]]:
+        buffer = make_buffer(self.kind, self.capacity, self.num_outputs)
+        return [("buffer0", buffer)]
 
     # -- engine interface ----------------------------------------------
 
     def initial(self) -> tuple[Hashable, Any]:
-        buffer = make_buffer(self.kind, self.capacity, self.num_outputs)
+        (buffer,) = self.fresh_buffers()
         spec = make_spec(self.kind, self.capacity, self.num_outputs)
         if buffer.max_reads_per_cycle != spec.max_serves:
-            raise _raise(
+            raise self.violation(
                 "read-ports",
                 f"implementation advertises {buffer.max_reads_per_cycle} "
                 f"read ports, specification expects {spec.max_serves}",
-                self.kind,
             )
         return self._pack(buffer, spec)
-
-    def successors(
-        self, payload: Any
-    ) -> Iterator[tuple[Action, Hashable, Any]]:
-        self.probe(payload)
-        for action in self.enumerate_actions(payload):
-            yield (action, *self.apply(payload, action))
-
-    # -- action enumeration --------------------------------------------
 
     def enumerate_actions(self, payload: Any) -> list[Action]:
         _, spec = payload
@@ -191,7 +188,7 @@ class BufferSystem:
                 actions.append(("arrive", destination))
             if spec.peek(destination) is not None:
                 actions.append(("depart", destination))
-        if self.with_retirement and spec.can_retire():
+        if spec.can_retire():
             actions.append(("retire",))
         return actions
 
@@ -210,7 +207,7 @@ class BufferSystem:
                 self._probe_one(payload, ("arrive", destination))
             if spec.peek(destination) is None:
                 self._probe_one(payload, ("depart", destination))
-        if self.with_retirement and not spec.can_retire():
+        if not spec.can_retire():
             self._probe_one(payload, ("retire",))
 
     def _is_probe_action(self, spec: SpecBuffer, action: Action) -> bool:
@@ -227,15 +224,14 @@ class BufferSystem:
     def _probe_one(self, payload: Any, action: Action) -> None:
         snapshot, spec = payload
         name = action[0]
-        buffer = self._restore(snapshot)
+        (buffer,) = self._restore([snapshot])
         if name == "arrive":
             destination = int(action[1])
             if buffer.can_accept(destination):
-                raise _raise(
+                raise self.violation(
                     "acceptance",
                     f"buffer accepts for output {destination} in a "
                     f"state the specification rejects",
-                    self.kind,
                     action,
                 )
             try:
@@ -245,37 +241,33 @@ class BufferSystem:
             except BufferFullError:
                 pass
             except ReproError as error:
-                raise _raise(
+                raise self.violation(
                     "wrong-error",
                     f"rejected push raised {type(error).__name__} "
                     f"instead of BufferFullError",
-                    self.kind,
                     action,
                 ) from error
             else:
-                raise _raise(
+                raise self.violation(
                     "missing-reject",
                     f"push to full output {destination} did not raise",
-                    self.kind,
                     action,
                 )
             if buffer.snapshot_state() != snapshot:
-                raise _raise(
+                raise self.violation(
                     "partial-mutation",
                     f"rejected push for output {destination} mutated "
                     f"buffer state",
-                    self.kind,
                     action,
                 )
         elif name == "depart":
             destination = int(action[1])
             head = buffer.peek(destination)
             if head is not None:
-                raise _raise(
+                raise self.violation(
                     "phantom-head",
                     f"buffer offers packet {head.packet_id} for output "
                     f"{destination}, specification offers none",
-                    self.kind,
                     action,
                 )
             try:
@@ -283,26 +275,23 @@ class BufferSystem:
             except BufferEmptyError:
                 pass
             except ReproError as error:
-                raise _raise(
+                raise self.violation(
                     "wrong-error",
                     f"empty pop raised {type(error).__name__} instead "
                     f"of BufferEmptyError",
-                    self.kind,
                     action,
                 ) from error
             else:
-                raise _raise(
+                raise self.violation(
                     "pop-from-empty",
                     f"pop({destination}) succeeded on an empty queue",
-                    self.kind,
                     action,
                 )
             if buffer.snapshot_state() != snapshot:
-                raise _raise(
+                raise self.violation(
                     "partial-mutation",
                     f"failed pop for output {destination} mutated "
                     f"buffer state",
-                    self.kind,
                     action,
                 )
         elif name == "retire":
@@ -311,18 +300,16 @@ class BufferSystem:
             except FaultError:
                 pass
             except ReproError as error:
-                raise _raise(
+                raise self.violation(
                     "wrong-error",
                     f"impossible retirement raised {type(error).__name__} "
                     f"instead of FaultError",
-                    self.kind,
                     action,
                 ) from error
             else:
-                raise _raise(
+                raise self.violation(
                     "missing-retire-fault",
                     "retire_slot() succeeded with no spare free slot",
-                    self.kind,
                     action,
                 )
         else:
@@ -336,105 +323,51 @@ class BufferSystem:
             # violation arose from a rejected operation's misbehaviour).
             # Re-run just that probe; the state does not change.
             self._probe_one(payload, action)
-            buffer = self._restore(snapshot)
-            key: Hashable = (
-                buffer.canonical_state() if self.exact_layout else spec.key()
-            )
-            return key, payload
-        buffer = self._restore(snapshot)
+            (buffer,) = self._restore([snapshot])
+            return self._key(buffer, spec), payload
+        (buffer,) = self._restore([snapshot])
         successor = spec.copy()
         if name == "arrive":
             destination = int(action[1])
             if not buffer.can_accept(destination):
-                raise _raise(
+                raise self.violation(
                     "acceptance",
                     f"buffer rejects for output {destination} in a state "
                     f"the specification accepts",
-                    self.kind,
                     action,
                 )
             packet_id = successor.push(destination)
-            try:
-                buffer.push(_packet(packet_id, destination), destination)
-            except ReproError as error:
-                raise _raise(
-                    "unexpected-reject",
-                    f"push to output {destination} raised "
-                    f"{type(error).__name__}: {error}",
-                    self.kind,
-                    action,
-                ) from error
+            self.push(buffer, _packet(packet_id, destination), action)
         elif name == "depart":
             destination = int(action[1])
             expected = successor.pop(destination)
-            try:
-                popped = buffer.pop(destination)
-            except ReproError as error:
-                raise _raise(
-                    "unexpected-empty",
-                    f"pop({destination}) raised {type(error).__name__} "
-                    f"with a queued packet",
-                    self.kind,
-                    action,
-                ) from error
-            if popped.packet_id != expected:
-                raise _raise(
-                    "fifo-order",
-                    f"pop({destination}) returned packet "
-                    f"{popped.packet_id}, FIFO order requires {expected}",
-                    self.kind,
-                    action,
-                )
+            self.pop(buffer, destination, action, expected=expected)
         elif name == "retire":
             successor.retire()
             try:
                 buffer.retire_slot()
             except ReproError as error:
-                raise _raise(
+                raise self.violation(
                     "retire-fault",
                     f"retire_slot() raised {type(error).__name__} with a "
                     f"spare free slot: {error}",
-                    self.kind,
                     action,
                 ) from error
         else:
             raise ConfigurationError(f"unknown action {action!r}")
-        self._check(buffer, successor, action)
+        _conform(buffer, successor, action)
         return self._pack(buffer, successor)
 
     # -- internals ------------------------------------------------------
 
-    def _restore(self, snapshot: dict[str, Any]) -> SwitchBuffer:
-        self._scratch.restore_state(snapshot)
-        return self._scratch
-
-    def _check(
-        self, buffer: SwitchBuffer, spec: SpecBuffer, action: Action
-    ) -> None:
-        try:
-            check_conformance(buffer, spec)
-        except PropertyViolation as error:
-            error.action = action
-            raise
+    def _key(self, buffer: SwitchBuffer, spec: SpecBuffer) -> Hashable:
+        return buffer.canonical_state() if self.exact_layout else spec.key()
 
     def _pack(
         self, buffer: SwitchBuffer, spec: SpecBuffer
     ) -> tuple[Hashable, Any]:
-        mapping = spec.renumber()
-        for packet in buffer.packets():
-            new_id = mapping.get(packet.packet_id)
-            if new_id is None:
-                raise _raise(
-                    "phantom-packet",
-                    f"buffer stores packet {packet.packet_id} the "
-                    f"specification does not hold",
-                    self.kind,
-                )
-            packet.packet_id = new_id
-        key: Hashable = (
-            buffer.canonical_state() if self.exact_layout else spec.key()
-        )
-        return key, (buffer.snapshot_state(), spec)
+        _relabel(self, buffer, spec)
+        return self._key(buffer, spec), (buffer.snapshot_state(), spec)
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +375,8 @@ class BufferSystem:
 # ----------------------------------------------------------------------
 
 
-class StarvationSystem:
+@dataclass
+class StarvationSystem(TransitionSystem):
     """Every output below its slot quota must still be accepting.
 
     The liveness gap in plain DAMQ's dynamic sharing: one hot output can
@@ -464,52 +398,35 @@ class StarvationSystem:
 
     name = "starvation"
 
-    def __init__(
-        self,
-        kind: str,
-        capacity: int,
-        num_outputs: int,
-        *,
-        quota: int | None = None,
-    ) -> None:
-        self.kind = kind.upper()
-        self.capacity = capacity
-        self.num_outputs = num_outputs
-        probe = make_buffer(self.kind, capacity, num_outputs)
-        # Default quota: the buffer's own reservation, where it has one.
-        self.quota = quota if quota is not None else getattr(probe, "reserved", 1)
+    kind: str
+    capacity: int
+    num_outputs: int
+    _: KW_ONLY
+    quota: int | None = None
+
+    def __post_init__(self) -> None:
+        self.kind = self.kind.upper()
+        if self.quota is None:
+            # Default quota: the buffer's own reservation, where it has one.
+            self.quota = getattr(self._scratch[0], "reserved", 1)
         if self.quota < 1:
             raise ConfigurationError(
                 f"starvation quota must be at least 1, got {self.quota}"
             )
-        # Scratch instance, re-restored from snapshots per action.
-        self._scratch = make_buffer(self.kind, capacity, num_outputs)
 
-    def config(self) -> dict[str, Any]:
-        return {
-            "system": self.name,
-            "kind": self.kind,
-            "capacity": self.capacity,
-            "num_outputs": self.num_outputs,
-            "quota": self.quota,
-        }
+    def datapath(self) -> list[tuple[str, SwitchBuffer]]:
+        buffer = make_buffer(self.kind, self.capacity, self.num_outputs)
+        return [("buffer0", buffer)]
 
     # -- engine interface ----------------------------------------------
 
     def initial(self) -> tuple[Hashable, Any]:
-        buffer = make_buffer(self.kind, self.capacity, self.num_outputs)
+        (buffer,) = self.fresh_buffers()
         self._check_property(buffer, None)
         return self._key(buffer), buffer.snapshot_state()
 
-    def successors(
-        self, payload: Any
-    ) -> Iterator[tuple[Action, Hashable, Any]]:
-        self.probe(payload)
-        for action in self.enumerate_actions(payload):
-            yield (action, *self.apply(payload, action))
-
     def enumerate_actions(self, payload: Any) -> list[Action]:
-        buffer = self._restore(payload)
+        (buffer,) = self._restore([payload])
         actions: list[Action] = []
         for destination in range(self.num_outputs):
             if buffer.can_accept(destination):
@@ -520,10 +437,10 @@ class StarvationSystem:
 
     def probe(self, payload: Any) -> None:
         """Re-check the no-starvation property (pure, state unchanged)."""
-        self._check_property(self._restore(payload), None)
+        self._check_property(self._restore([payload])[0], None)
 
     def apply(self, payload: Any, action: Action) -> tuple[Hashable, Any]:
-        buffer = self._restore(payload)
+        (buffer,) = self._restore([payload])
         name = action[0]
         if name == "arrive":
             destination = int(action[1])
@@ -534,28 +451,9 @@ class StarvationSystem:
                 (packet.packet_id for packet in buffer.packets()),
                 default=-1,
             )
-            try:
-                buffer.push(_packet(next_id, destination), destination)
-            except ReproError as error:
-                raise _raise(
-                    "unexpected-reject",
-                    f"push to output {destination} raised "
-                    f"{type(error).__name__}: {error}",
-                    self.kind,
-                    action,
-                ) from error
+            self.push(buffer, _packet(next_id, destination), action)
         elif name == "depart":
-            destination = int(action[1])
-            try:
-                buffer.pop(destination)
-            except ReproError as error:
-                raise _raise(
-                    "unexpected-empty",
-                    f"pop({destination}) raised {type(error).__name__} "
-                    f"with a queued packet",
-                    self.kind,
-                    action,
-                ) from error
+            self.pop(buffer, int(action[1]), action)
         else:
             raise ConfigurationError(f"unknown action {action!r}")
         self._check_property(buffer, action)
@@ -575,30 +473,25 @@ class StarvationSystem:
             tuple(buffer.queue_lengths()),
         )
 
-    def _restore(self, snapshot: dict[str, Any]) -> SwitchBuffer:
-        self._scratch.restore_state(snapshot)
-        return self._scratch
-
     def _check_property(
         self, buffer: SwitchBuffer, action: Action | None
     ) -> None:
         for destination in range(self.num_outputs):
             held = buffer.queue_length(destination)
             if held < self.quota and not buffer.can_accept(destination):
-                raise _raise(
+                raise self.violation(
                     "starvation",
                     f"output {destination} holds {held} packet(s), below "
                     f"its quota of {self.quota}, yet a new arrival is "
                     f"rejected (lengths "
                     f"{list(buffer.queue_lengths())}, occupancy "
                     f"{buffer.occupancy}/{buffer.effective_capacity})",
-                    self.kind,
                     action,
                 )
         try:
             buffer.check_invariants()
         except InvariantError as error:
-            raise _raise("invariants", str(error), self.kind, action) from error
+            raise self.violation("invariants", str(error), action) from error
 
 
 # ----------------------------------------------------------------------
@@ -606,84 +499,50 @@ class StarvationSystem:
 # ----------------------------------------------------------------------
 
 
-class SwitchSystem:
+@dataclass
+class SwitchSystem(TransitionSystem):
     """One n×n switch: every grant × arrival interleaving per cycle.
 
     ``mode="safety"`` explores adversarial grants (every crossbar-legal
-    grant set); ``mode="markov"`` restricts grants to the longest-queue
-    arbitration policy of :mod:`repro.markov.arbitration` and weights
-    each transition so the explored graph converts into the exact Markov
-    chain (see :func:`cross_validate`).
+    grant set) and checks the real arbiter in every state;
+    ``mode="markov"`` restricts grants to the longest-queue arbitration
+    policy of :mod:`repro.markov.arbitration` and weights each
+    transition so the explored graph converts into the exact Markov
+    chain (see :func:`cross_validate`).  States are keyed on the
+    specifications' contents (collapse layout) in both modes.
+
+    The model has no flow-control protocol: a refused arrival is either
+    dropped (discarding) or stalled upstream (blocking), and the buffer
+    must refuse it cleanly either way, so one check covers both.
     """
 
     name = "switch"
 
-    def __init__(
-        self,
-        kind: str,
-        num_ports: int,
-        slots: int,
-        *,
-        protocol: str = "discarding",
-        mode: str = "safety",
-        exact_layout: bool = False,
-        check_arbiter: bool = True,
-    ) -> None:
-        if mode not in ("safety", "markov"):
-            raise ConfigurationError(f"unknown switch mode {mode!r}")
-        if protocol not in ("discarding", "blocking"):
-            raise ConfigurationError(f"unknown protocol {protocol!r}")
-        if mode == "markov" and protocol != "discarding":
-            raise ConfigurationError(
-                "the Markov cross-validation models the discarding protocol"
-            )
-        if mode == "markov" and exact_layout:
-            raise ConfigurationError(
-                "markov mode aggregates over slot layouts; use collapse "
-                "layout"
-            )
-        self.kind = kind.upper()
-        self.num_ports = num_ports
-        self.slots = slots
-        self.protocol = protocol
-        self.mode = mode
-        self.exact_layout = exact_layout
-        self.check_arbiter = check_arbiter
-        self._scratch = [
-            make_buffer(self.kind, slots, num_ports) for _ in range(num_ports)
-        ]
+    kind: str
+    num_ports: int
+    slots: int
+    _: KW_ONLY
+    mode: str = "safety"
 
-    def config(self) -> dict[str, Any]:
-        return {
-            "system": self.name,
-            "kind": self.kind,
-            "num_ports": self.num_ports,
-            "slots": self.slots,
-            "protocol": self.protocol,
-            "mode": self.mode,
-            "exact_layout": self.exact_layout,
-            "check_arbiter": self.check_arbiter,
-        }
+    def __post_init__(self) -> None:
+        if self.mode not in ("safety", "markov"):
+            raise ConfigurationError(f"unknown switch mode {self.mode!r}")
+        self.kind = self.kind.upper()
+
+    def datapath(self) -> list[tuple[str, SwitchBuffer]]:
+        return [
+            (f"in{port}", make_buffer(self.kind, self.slots, self.num_ports))
+            for port in range(self.num_ports)
+        ]
 
     # -- engine interface ----------------------------------------------
 
     def initial(self) -> tuple[Hashable, Any]:
-        buffers = [
-            make_buffer(self.kind, self.slots, self.num_ports)
-            for _ in range(self.num_ports)
-        ]
         specs = [
             make_spec(self.kind, self.slots, self.num_ports)
             for _ in range(self.num_ports)
         ]
-        return self._pack(buffers, specs)
-
-    def successors(
-        self, payload: Any
-    ) -> Iterator[tuple[Action, Hashable, Any]]:
-        self.probe(payload)
-        for action in self.enumerate_actions(payload):
-            yield (action, *self.apply(payload, action))
+        return self._pack(self.fresh_buffers(), specs)
 
     def enumerate_actions(self, payload: Any) -> list[Action]:
         _, specs = payload
@@ -714,7 +573,7 @@ class SwitchSystem:
         return actions
 
     def probe(self, payload: Any) -> None:
-        if self.check_arbiter:
+        if self.mode == "safety":
             self._check_real_arbiter(payload)
 
     def apply(self, payload: Any, action: Action) -> tuple[Hashable, Any]:
@@ -723,14 +582,7 @@ class SwitchSystem:
             # Probe marker: the violation came from the real-arbiter
             # conformance check in this state.  Re-run it; no transition.
             self._check_real_arbiter(payload)
-            if self.exact_layout:
-                key: Hashable = tuple(
-                    buffer.canonical_state()
-                    for buffer in self._restore(snapshots)
-                )
-            else:
-                key = tuple(spec.key() for spec in specs)
-            return key, payload
+            return tuple(spec.key() for spec in specs), payload
         if action[0] != "cycle":
             raise ConfigurationError(f"unknown action {action!r}")
         served: tuple[tuple[int, int], ...] = action[1]
@@ -739,54 +591,29 @@ class SwitchSystem:
         successors = [spec.copy() for spec in specs]
         # Phase 1: transmissions (the granted pops).
         for input_port, output_port in served:
-            expected = successors[input_port].pop(output_port)
-            try:
-                popped = buffers[input_port].pop(output_port)
-            except ReproError as error:
-                raise _raise(
-                    "unexpected-empty",
-                    f"input {input_port}: pop({output_port}) raised "
-                    f"{type(error).__name__} for a granted packet",
-                    self.kind,
-                    action,
-                ) from error
-            if popped.packet_id != expected:
-                raise _raise(
-                    "fifo-order",
-                    f"input {input_port}: pop({output_port}) returned "
-                    f"packet {popped.packet_id}, FIFO order requires "
-                    f"{expected}",
-                    self.kind,
-                    action,
-                )
-        # Phase 2: arrivals (discarding: a full buffer drops the packet).
+            self.pop(
+                buffers[input_port],
+                output_port,
+                action,
+                where=f"input {input_port}: ",
+                expected=successors[input_port].pop(output_port),
+            )
+        # Phase 2: arrivals.
         for input_port, destination in enumerate(combo):
             if destination is None:
                 continue
             spec = successors[input_port]
             buffer = buffers[input_port]
             if buffer.can_accept(destination) != spec.can_accept(destination):
-                raise _raise(
+                raise self.violation(
                     "acceptance",
                     f"input {input_port}: can_accept({destination}) "
                     f"diverges from the specification",
-                    self.kind,
                     action,
                 )
             if spec.can_accept(destination):
-                packet_id = spec.push(destination)
-                try:
-                    buffer.push(
-                        _packet(packet_id, destination), destination
-                    )
-                except ReproError as error:
-                    raise _raise(
-                        "unexpected-reject",
-                        f"input {input_port}: push to output "
-                        f"{destination} raised {type(error).__name__}",
-                        self.kind,
-                        action,
-                    ) from error
+                packet = _packet(spec.push(destination), destination)
+                self.push(buffer, packet, action, f"input {input_port}: ")
             else:
                 # Discarding: the packet is dropped at the full buffer.
                 # Blocking: it stalls upstream.  Either way the buffer
@@ -798,19 +625,14 @@ class SwitchSystem:
                 except BufferFullError:
                     pass
                 else:
-                    raise _raise(
+                    raise self.violation(
                         "missing-reject",
                         f"input {input_port}: push to full output "
                         f"{destination} did not raise",
-                        self.kind,
                         action,
                     )
-        for input_port in range(self.num_ports):
-            try:
-                check_conformance(buffers[input_port], successors[input_port])
-            except PropertyViolation as error:
-                error.action = action
-                raise
+        for buffer, successor in zip(buffers, successors):
+            _conform(buffer, successor, action)
         return self._pack(buffers, successors)
 
     # -- grant enumeration ---------------------------------------------
@@ -923,24 +745,22 @@ class SwitchSystem:
                     if buffers[input_port].snapshot_state() != snapshots[
                         input_port
                     ]:
-                        raise _raise(
+                        raise self.violation(
                             "arbiter-mutation",
                             f"{context}: arbitration mutated buffer "
                             f"{input_port}",
-                            self.kind,
                             action,
                         )
                 granted_outputs: dict[int, int] = {}
                 reads: dict[int, int] = {}
                 for grant in grants:
                     if grant.output_port in granted_outputs:
-                        raise _raise(
+                        raise self.violation(
                             "double-grant",
                             f"{context}: output {grant.output_port} "
                             f"granted to inputs "
                             f"{granted_outputs[grant.output_port]} and "
                             f"{grant.input_port}",
-                            self.kind,
                             action,
                         )
                     granted_outputs[grant.output_port] = grant.input_port
@@ -951,12 +771,11 @@ class SwitchSystem:
                         reads[grant.input_port]
                         > specs[grant.input_port].max_serves
                     ):
-                        raise _raise(
+                        raise self.violation(
                             "read-overrun",
                             f"{context}: input {grant.input_port} granted "
                             f"{reads[grant.input_port]} reads, budget "
                             f"{specs[grant.input_port].max_serves}",
-                            self.kind,
                             action,
                         )
                     expected = specs[grant.input_port].peek(
@@ -966,13 +785,12 @@ class SwitchSystem:
                         expected is None
                         or grant.packet.packet_id != expected
                     ):
-                        raise _raise(
+                        raise self.violation(
                             "grant-identity",
                             f"{context}: grant ({grant.input_port} -> "
                             f"{grant.output_port}) carries packet "
                             f"{grant.packet.packet_id}, head is "
                             f"{expected}",
-                            self.kind,
                             action,
                         )
                 for input_port, output_port in requests:
@@ -981,46 +799,22 @@ class SwitchSystem:
                         and reads.get(input_port, 0)
                         < specs[input_port].max_serves
                     ):
-                        raise _raise(
+                        raise self.violation(
                             "work-conservation",
                             f"{context}: queue ({input_port} -> "
                             f"{output_port}) offers a packet but neither "
                             f"it nor its output was served",
-                            self.kind,
                             action,
                         )
 
     # -- internals ------------------------------------------------------
 
-    def _restore(
-        self, snapshots: list[dict[str, Any]]
-    ) -> list[SwitchBuffer]:
-        for buffer, snapshot in zip(self._scratch, snapshots):
-            buffer.restore_state(snapshot)
-        return self._scratch
-
     def _pack(
         self, buffers: list[SwitchBuffer], specs: list[SpecBuffer]
     ) -> tuple[Hashable, Any]:
         for buffer, spec in zip(buffers, specs):
-            mapping = spec.renumber()
-            for packet in buffer.packets():
-                new_id = mapping.get(packet.packet_id)
-                if new_id is None:
-                    raise _raise(
-                        "phantom-packet",
-                        f"buffer stores packet {packet.packet_id} the "
-                        f"specification does not hold",
-                        self.kind,
-                    )
-                packet.packet_id = new_id
-        if self.exact_layout:
-            key: Hashable = tuple(
-                buffer.canonical_state() for buffer in buffers
-            )
-        else:
-            key = tuple(spec.key() for spec in specs)
-        return key, (
+            _relabel(self, buffer, spec)
+        return tuple(spec.key() for spec in specs), (
             [buffer.snapshot_state() for buffer in buffers],
             specs,
         )
@@ -1042,7 +836,8 @@ class SwitchSystem:
 # ----------------------------------------------------------------------
 
 
-class FifoRefinementSystem:
+@dataclass
+class FifoRefinementSystem(TransitionSystem):
     """DAMQ restricted to one queue, in lockstep with a FIFO buffer.
 
     Both buffers receive the identical arrival/departure stream on
@@ -1052,33 +847,20 @@ class FifoRefinementSystem:
     """
 
     name = "refinement-fifo"
+    kind = "DAMQ"
 
-    def __init__(self, capacity: int, num_outputs: int) -> None:
-        self.kind = "DAMQ"
-        self.capacity = capacity
-        self.num_outputs = num_outputs
-        self._damq = make_buffer("DAMQ", capacity, num_outputs)
-        self._fifo = make_buffer("FIFO", capacity, num_outputs)
+    capacity: int
+    num_outputs: int
 
-    def config(self) -> dict[str, Any]:
-        return {
-            "system": self.name,
-            "kind": self.kind,
-            "capacity": self.capacity,
-            "num_outputs": self.num_outputs,
-        }
+    def datapath(self) -> list[tuple[str, SwitchBuffer]]:
+        return [
+            ("damq", make_buffer("DAMQ", self.capacity, self.num_outputs)),
+            ("fifo", make_buffer("FIFO", self.capacity, self.num_outputs)),
+        ]
 
     def initial(self) -> tuple[Hashable, Any]:
-        damq = make_buffer("DAMQ", self.capacity, self.num_outputs)
-        fifo = make_buffer("FIFO", self.capacity, self.num_outputs)
+        damq, fifo = self.fresh_buffers()
         return self._pack(damq, fifo, occupancy=0)
-
-    def successors(
-        self, payload: Any
-    ) -> Iterator[tuple[Action, Hashable, Any]]:
-        self.probe(payload)
-        for action in self.enumerate_actions(payload):
-            yield (action, *self.apply(payload, action))
 
     def enumerate_actions(self, payload: Any) -> list[Action]:
         _, _, occupancy = payload
@@ -1090,13 +872,12 @@ class FifoRefinementSystem:
         return actions
 
     def probe(self, payload: Any) -> None:
-        damq_snapshot, fifo_snapshot, _ = payload
-        damq, fifo = self._restore(damq_snapshot, fifo_snapshot)
+        damq, fifo = self._restore(payload[:2])
         self._compare(damq, fifo, None)
 
     def apply(self, payload: Any, action: Action) -> tuple[Hashable, Any]:
-        damq_snapshot, fifo_snapshot, occupancy = payload
-        damq, fifo = self._restore(damq_snapshot, fifo_snapshot)
+        occupancy = payload[2]
+        damq, fifo = self._restore(payload[:2])
         name = action[0]
         if name == "arrive":
             for buffer in (damq, fifo):
@@ -1106,11 +887,10 @@ class FifoRefinementSystem:
             first = damq.pop(0)
             second = fifo.pop(0)
             if first.packet_id != second.packet_id:
-                raise _raise(
+                raise self.violation(
                     "refinement",
                     f"DAMQ popped packet {first.packet_id}, FIFO popped "
                     f"{second.packet_id}",
-                    "DAMQ",
                     action,
                 )
             occupancy -= 1
@@ -1126,22 +906,14 @@ class FifoRefinementSystem:
         right = fifo.observable_state()
         del left["kind"], right["kind"]
         if left != right:
-            raise _raise(
+            raise self.violation(
                 "refinement",
                 f"single-queue DAMQ observably diverges from FIFO: "
                 f"DAMQ {left}, FIFO {right}",
-                "DAMQ",
                 action,
             )
         for buffer in (damq, fifo):
             buffer.check_invariants()
-
-    def _restore(
-        self, damq_snapshot: dict[str, Any], fifo_snapshot: dict[str, Any]
-    ) -> tuple[SwitchBuffer, SwitchBuffer]:
-        self._damq.restore_state(damq_snapshot)
-        self._fifo.restore_state(fifo_snapshot)
-        return self._damq, self._fifo
 
     def _pack(
         self, damq: SwitchBuffer, fifo: SwitchBuffer, occupancy: int
@@ -1162,7 +934,8 @@ class FifoRefinementSystem:
         )
 
 
-class DominanceSystem:
+@dataclass
+class DominanceSystem(TransitionSystem):
     """DAMQ vs. a statically partitioned buffer with the same slots.
 
     Both receive the identical workload, gated on the *partitioned*
@@ -1174,41 +947,34 @@ class DominanceSystem:
 
     name = "dominance"
 
-    def __init__(self, partitioned_kind: str, capacity: int, num_outputs: int) -> None:
-        self.kind = partitioned_kind.upper()
+    #: The partitioned buffer's kind, SAMQ or SAFC.
+    kind: str
+    capacity: int
+    num_outputs: int
+
+    def __post_init__(self) -> None:
+        self.kind = self.kind.upper()
         if self.kind not in ("SAMQ", "SAFC"):
             raise ConfigurationError(
                 f"dominance compares SAMQ/SAFC to DAMQ, not {self.kind}"
             )
-        self.capacity = capacity
-        self.num_outputs = num_outputs
-        self._partitioned = make_buffer(self.kind, capacity, num_outputs)
-        self._damq = make_buffer("DAMQ", capacity, num_outputs)
         self.strict_witnesses = 0
 
-    def config(self) -> dict[str, Any]:
-        return {
-            "system": self.name,
-            "kind": self.kind,
-            "capacity": self.capacity,
-            "num_outputs": self.num_outputs,
-        }
+    def datapath(self) -> list[tuple[str, SwitchBuffer]]:
+        return [
+            (
+                "partitioned",
+                make_buffer(self.kind, self.capacity, self.num_outputs),
+            ),
+            ("damq", make_buffer("DAMQ", self.capacity, self.num_outputs)),
+        ]
 
     def initial(self) -> tuple[Hashable, Any]:
-        partitioned = make_buffer(self.kind, self.capacity, self.num_outputs)
-        damq = make_buffer("DAMQ", self.capacity, self.num_outputs)
-        return self._pack(partitioned, damq, next_id=0)
-
-    def successors(
-        self, payload: Any
-    ) -> Iterator[tuple[Action, Hashable, Any]]:
-        self.probe(payload)
-        for action in self.enumerate_actions(payload):
-            yield (action, *self.apply(payload, action))
+        partitioned, damq = self.fresh_buffers()
+        return self._pack(partitioned, damq)
 
     def enumerate_actions(self, payload: Any) -> list[Action]:
-        partitioned_snapshot, _, _ = payload
-        partitioned, _ = self._restore(partitioned_snapshot, None)
+        (partitioned, _damq) = self._restore(payload[:1])
         actions: list[Action] = []
         for destination in range(self.num_outputs):
             if partitioned.can_accept(destination):
@@ -1218,20 +984,16 @@ class DominanceSystem:
         return actions
 
     def probe(self, payload: Any) -> None:
-        partitioned_snapshot, damq_snapshot, _ = payload
-        partitioned, damq = self._restore(
-            partitioned_snapshot, damq_snapshot
-        )
+        partitioned, damq = self._restore(payload[:2])
         strict_here = False
         for destination in range(self.num_outputs):
             partitioned_accepts = partitioned.can_accept(destination)
             damq_accepts = damq.can_accept(destination)
             if partitioned_accepts and not damq_accepts:
-                raise _raise(
+                raise self.violation(
                     "dominance",
                     f"{self.kind} accepts for output {destination} but a "
                     f"DAMQ with the same {self.capacity} slots rejects",
-                    self.kind,
                 )
             if damq_accepts and not partitioned_accepts:
                 strict_here = True
@@ -1239,47 +1001,30 @@ class DominanceSystem:
             self.strict_witnesses += 1
 
     def apply(self, payload: Any, action: Action) -> tuple[Hashable, Any]:
-        partitioned_snapshot, damq_snapshot, next_id = payload
-        partitioned, damq = self._restore(
-            partitioned_snapshot, damq_snapshot
-        )
+        next_id = payload[2]
+        partitioned, damq = self._restore(payload[:2])
         name, destination = action[0], int(action[1])
         if name == "arrive":
             for buffer in (partitioned, damq):
                 buffer.push(_packet(next_id, destination), destination)
-            next_id += 1
         elif name == "depart":
             first = partitioned.pop(destination)
             second = damq.pop(destination)
             if first.packet_id != second.packet_id:
-                raise _raise(
+                raise self.violation(
                     "fifo-order",
                     f"{self.kind} popped packet {first.packet_id}, DAMQ "
                     f"popped {second.packet_id} for output {destination}",
-                    self.kind,
                     action,
                 )
         else:
             raise ConfigurationError(f"unknown action {action!r}")
         for buffer in (partitioned, damq):
             buffer.check_invariants()
-        return self._pack(partitioned, damq, next_id=next_id)
-
-    def _restore(
-        self,
-        partitioned_snapshot: dict[str, Any],
-        damq_snapshot: dict[str, Any] | None,
-    ) -> tuple[SwitchBuffer, SwitchBuffer]:
-        self._partitioned.restore_state(partitioned_snapshot)
-        if damq_snapshot is not None:
-            self._damq.restore_state(damq_snapshot)
-        return self._partitioned, self._damq
+        return self._pack(partitioned, damq)
 
     def _pack(
-        self,
-        partitioned: SwitchBuffer,
-        damq: SwitchBuffer,
-        next_id: int,
+        self, partitioned: SwitchBuffer, damq: SwitchBuffer
     ) -> tuple[Hashable, Any]:
         # Canonical ids: position within (queue, position) order of the
         # partitioned buffer; the DAMQ holds the same packets, so the one
@@ -1302,62 +1047,39 @@ class DominanceSystem:
 # Verifier entry points
 # ----------------------------------------------------------------------
 
-#: Any of the model checker's transition systems.
-ModelSystem = Any
+#: The model checker's systems by registry name.  The ``kernel-diff``
+#: system lives in :mod:`repro.kernel.differential`; :func:`build_system`
+#: imports it on demand.
+_SYSTEMS: dict[str, type[TransitionSystem]] = {
+    system.name: system
+    for system in (
+        BufferSystem,
+        StarvationSystem,
+        SwitchSystem,
+        FifoRefinementSystem,
+        DominanceSystem,
+    )
+}
 
 
-def build_system(config: dict[str, Any]) -> ModelSystem:
+def build_system(config: dict[str, Any]) -> TransitionSystem:
     """Rebuild a transition system from its :meth:`config` dictionary.
 
-    The inverse of ``system.config()``; used to replay serialized
-    counterexamples.
+    The strict inverse of ``system.config()``, used to replay serialized
+    counterexamples: an unknown system, or a field its constructor does
+    not take or needs and is not given, raises
+    :class:`ConfigurationError`.
     """
     name = config.get("system")
-    if name == "buffer":
-        return BufferSystem(
-            config["kind"],
-            config["capacity"],
-            config["num_outputs"],
-            protocol=config.get("protocol", "discarding"),
-            with_retirement=config.get("with_retirement", True),
-            exact_layout=config.get("exact_layout", True),
-        )
-    if name == "switch":
-        return SwitchSystem(
-            config["kind"],
-            config["num_ports"],
-            config["slots"],
-            protocol=config.get("protocol", "discarding"),
-            mode=config.get("mode", "safety"),
-            exact_layout=config.get("exact_layout", False),
-            check_arbiter=config.get("check_arbiter", True),
-        )
-    if name == "starvation":
-        return StarvationSystem(
-            config["kind"],
-            config["capacity"],
-            config["num_outputs"],
-            quota=config.get("quota"),
-        )
-    if name == "refinement-fifo":
-        return FifoRefinementSystem(
-            config["capacity"], config["num_outputs"]
-        )
-    if name == "dominance":
-        return DominanceSystem(
-            config["kind"], config["capacity"], config["num_outputs"]
-        )
     if name == "kernel-diff":
         # Imported here: the kernel package is optional machinery layered
         # on top of the analysis core, not a dependency of it.
         from repro.kernel.differential import KernelDiffSystem
-        from repro.network.simulator import NetworkConfig
 
-        return KernelDiffSystem(
-            NetworkConfig.from_state(config["network"]),
-            warmup_cycles=config.get("warmup_cycles", 0),
-        )
-    raise ConfigurationError(f"unknown transition system {name!r}")
+        return KernelDiffSystem.from_config(config)
+    if name not in _SYSTEMS:
+        raise ConfigurationError(f"unknown transition system {name!r}")
+    return _SYSTEMS[name].from_config(config)
 
 
 @dataclass
@@ -1365,6 +1087,8 @@ class ModelCheckResult:
     """One bounded exhaustive check of one system configuration."""
 
     config: dict[str, Any]
+    #: The buffer kind the check is about (the system's ``kind``).
+    kind: str
     stats: "Any"
     violation: Violation | None = None
     counterexample: Counterexample | None = None
@@ -1377,7 +1101,7 @@ class ModelCheckResult:
         return self.violation is None
 
     def describe(self) -> str:
-        label = f"{self.config['system']}[{self.config['kind']}]"
+        label = f"{self.config['system']}[{self.kind}]"
         size = (
             f"{self.stats.states} states, "
             f"{self.stats.transitions} transitions"
@@ -1401,7 +1125,7 @@ class ModelCheckResult:
 
 
 def _run(
-    system: ModelSystem,
+    system: TransitionSystem,
     *,
     max_states: int | None = None,
     max_depth: int | None = None,
@@ -1416,6 +1140,7 @@ def _run(
         )
     return ModelCheckResult(
         config=system.config(),
+        kind=system.kind,
         stats=result.stats,
         violation=result.violation,
         counterexample=counterexample,
@@ -1428,20 +1153,13 @@ def verify_buffer(
     capacity: int,
     num_outputs: int,
     *,
-    protocol: str = "discarding",
-    with_retirement: bool = True,
     exact_layout: bool = True,
     max_states: int | None = None,
     max_depth: int | None = None,
 ) -> ModelCheckResult:
     """Exhaustively check one buffer against its reference spec."""
     system = BufferSystem(
-        kind,
-        capacity,
-        num_outputs,
-        protocol=protocol,
-        with_retirement=with_retirement,
-        exact_layout=exact_layout,
+        kind, capacity, num_outputs, exact_layout=exact_layout
     )
     return _run(system, max_states=max_states, max_depth=max_depth)
 
@@ -1451,22 +1169,11 @@ def verify_switch(
     num_ports: int,
     slots: int,
     *,
-    protocol: str = "discarding",
-    exact_layout: bool = False,
-    check_arbiter: bool = True,
     max_states: int | None = None,
     max_depth: int | None = None,
 ) -> ModelCheckResult:
     """Exhaustively check one switch under adversarial grants."""
-    system = SwitchSystem(
-        kind,
-        num_ports,
-        slots,
-        protocol=protocol,
-        mode="safety",
-        exact_layout=exact_layout,
-        check_arbiter=check_arbiter,
-    )
+    system = SwitchSystem(kind, num_ports, slots)
     return _run(system, max_states=max_states, max_depth=max_depth)
 
 
@@ -1551,7 +1258,6 @@ def cross_validate(
     num_ports: int = 2,
     *,
     tolerance: float = 1e-9,
-    check_arbiter: bool = False,
 ) -> CrossValidation:
     """Cross-validate the explored state graph against ``repro.markov``.
 
@@ -1574,13 +1280,7 @@ def cross_validate(
         raise ConfigurationError(
             f"traffic rate must lie strictly in (0, 1), got {rate}"
         )
-    system = SwitchSystem(
-        kind,
-        num_ports,
-        slots,
-        mode="markov",
-        check_arbiter=check_arbiter,
-    )
+    system = SwitchSystem(kind, num_ports, slots, mode="markov")
     result = explore(system, record_edges=True)
     if result.violation is not None:
         raise SimulationError(

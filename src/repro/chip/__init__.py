@@ -28,11 +28,8 @@ from repro.chip.slots import SLOT_BYTES, DamqBufferHw, HwPacket
 from repro.chip.synchronizer import Synchronizer
 from repro.chip.topologies import (
     TopologyBuilder,
-    build_chain,
-    build_complete,
     build_mesh,
     build_ring,
-    build_star,
     open_shortest_circuit,
     shortest_path,
 )
@@ -66,11 +63,8 @@ __all__ = [
     "SlotSizeEstimate",
     "Synchronizer",
     "TopologyBuilder",
-    "build_chain",
-    "build_complete",
     "build_mesh",
     "build_ring",
-    "build_star",
     "estimate_slot_size",
     "open_shortest_circuit",
     "shortest_path",

@@ -1,8 +1,8 @@
 """Topology builders and path routing for ComCoBB multicomputers.
 
 The ComCoBB chip has four network ports, so a node can have up to four
-neighbours — enough for rings, chains, stars, 2D meshes and small complete
-graphs, the topologies the multicomputer literature of the era built.
+neighbours — enough for the rings and 2D meshes the multicomputer
+literature of the era built.
 These helpers wire such networks and open circuits along shortest paths,
 so examples and tests don't hand-assign ports.
 
@@ -22,11 +22,8 @@ from repro.errors import ConfigurationError, RoutingError
 
 __all__ = [
     "TopologyBuilder",
-    "build_chain",
     "build_ring",
-    "build_star",
     "build_mesh",
-    "build_complete",
     "shortest_path",
     "open_shortest_circuit",
 ]
@@ -63,55 +60,20 @@ class TopologyBuilder:
         return port
 
 
-def _named_network(
-    count: int, prefix: str, **kwargs: Any
-) -> tuple[ChipNetwork, list[str], TopologyBuilder]:
-    if count < 2:
-        raise ConfigurationError("a topology needs at least two nodes")
-    network = ChipNetwork(**kwargs)
-    builder = TopologyBuilder(network)
-    names = [f"{prefix}{index}" for index in range(count)]
-    for name in names:
-        builder.add_node(name)
-    return network, names, builder
-
-
-def build_chain(
-    count: int, prefix: str = "node", **kwargs: Any
-) -> tuple[ChipNetwork, list[str]]:
-    """A linear array: node0 — node1 — … — node(n-1)."""
-    network, names, builder = _named_network(count, prefix, **kwargs)
-    for left, right in zip(names[:-1], names[1:]):
-        builder.connect(left, right)
-    return network, names
-
-
 def build_ring(
     count: int, prefix: str = "node", **kwargs: Any
 ) -> tuple[ChipNetwork, list[str]]:
     """A bidirectional ring of ``count`` nodes."""
     if count < 3:
         raise ConfigurationError("a ring needs at least three nodes")
-    network, names, builder = _named_network(count, prefix, **kwargs)
+    network = ChipNetwork(**kwargs)
+    builder = TopologyBuilder(network)
+    names = [f"{prefix}{index}" for index in range(count)]
+    for name in names:
+        builder.add_node(name)
     for index in range(count):
         builder.connect(names[index], names[(index + 1) % count])
     return network, names
-
-
-def build_star(
-    leaves: int, prefix: str = "leaf", hub: str = "hub", **kwargs: Any
-) -> tuple[ChipNetwork, list[str]]:
-    """One hub with up to four leaves."""
-    if not 1 <= leaves <= 4:
-        raise ConfigurationError("a ComCoBB hub supports one to four leaves")
-    network = ChipNetwork(**kwargs)
-    builder = TopologyBuilder(network)
-    builder.add_node(hub)
-    names = [f"{prefix}{index}" for index in range(leaves)]
-    for name in names:
-        builder.add_node(name)
-        builder.connect(hub, name)
-    return network, [hub] + names
 
 
 def build_mesh(
@@ -136,21 +98,6 @@ def build_mesh(
             if row + 1 < rows:
                 builder.connect(names[row][column], names[row + 1][column])
     return network, [name for row_names in names for name in row_names]
-
-
-def build_complete(
-    count: int, prefix: str = "node", **kwargs: Any
-) -> tuple[ChipNetwork, list[str]]:
-    """A complete graph (count <= 5, since each node has four ports)."""
-    if not 2 <= count <= 5:
-        raise ConfigurationError(
-            "a complete ComCoBB graph supports two to five nodes"
-        )
-    network, names, builder = _named_network(count, prefix, **kwargs)
-    for index, left in enumerate(names):
-        for right in names[index + 1 :]:
-            builder.connect(left, right)
-    return network, names
 
 
 def shortest_path(network: ChipNetwork, source: str, destination: str) -> list[str]:

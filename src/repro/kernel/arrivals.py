@@ -132,7 +132,6 @@ def _decode_scalar(
     num_ports: int,
     cycle_clocks: int,
     hot_fraction: float,
-    hot_port: int,
     fixed_dest: int,
 ) -> tuple[list[int], list[int], list[int]]:
     """Exact scalar replay of one source's draw sequence."""
@@ -150,11 +149,12 @@ def _decode_scalar(
         if kind == "uniform":
             destination = cursor.bounded(num_ports, threshold_dest)
         elif kind == "hotspot":
-            # RandomStream.bernoulli skips the draw at exactly 0.0/1.0.
-            if hot_fraction >= 1.0:
-                destination = hot_port
-            elif hot_fraction > 0.0 and cursor.double() < hot_fraction:
-                destination = hot_port
+            # RandomStream.bernoulli skips the draw at exactly 0.0/1.0;
+            # the hot module is output 0.
+            if hot_fraction >= 1.0 or (
+                hot_fraction > 0.0 and cursor.double() < hot_fraction
+            ):
+                destination = 0
             else:
                 destination = cursor.bounded(num_ports, threshold_dest)
         else:  # permutation: the mapping is draw-free
@@ -249,10 +249,7 @@ def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan
     if total_attempts < 0:
         raise ConfigurationError("total_attempts cannot be negative")
     pattern = make_traffic(
-        config.traffic_kind,
-        config.num_ports,
-        config.hot_fraction,
-        config.hot_port,
+        config.traffic_kind, config.num_ports, config.hot_fraction
     )
     mapping = (
         pattern.mapping if isinstance(pattern, PermutationTraffic) else None
@@ -289,7 +286,6 @@ def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan
                         num_ports,
                         CYCLE_CLOCKS,
                         config.hot_fraction,
-                        config.hot_port,
                         mapping[port] if mapping is not None else 0,
                     )
                 except _NeedMoreWords:

@@ -10,26 +10,27 @@ plus a replayable :class:`~repro.analysis.counterexample.Counterexample`
 whose action trace re-drives both kernels to the divergent cycle.
 
 The counterexample plugs into the model checker's replay machinery via
-:class:`KernelDiffSystem`, a deterministic transition system registered
-under ``"kernel-diff"`` in :func:`repro.analysis.model.build_system`:
-its only action is ``("cycle",)`` and its probe re-raises the digest
-mismatch as a :class:`~repro.analysis.properties.PropertyViolation`, so
-a serialized trace replays bit-exactly with the standard tooling
+:class:`KernelDiffSystem`, a deterministic
+:class:`~repro.analysis.explore.TransitionSystem` that
+:func:`repro.analysis.model.build_system` imports on demand for the
+name ``"kernel-diff"``: its only action is ``("cycle",)`` and its probe
+re-raises the digest mismatch as a
+:class:`~repro.analysis.properties.PropertyViolation`, so a serialized
+trace replays bit-exactly with the standard tooling
 (``Counterexample.replay`` or the rendered standalone script).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import Any, Hashable
 
 from repro.analysis.counterexample import Counterexample
-from repro.analysis.properties import PropertyViolation, Violation
+from repro.analysis.explore import Action, TransitionSystem
+from repro.analysis.properties import PropertyViolation
 from repro.errors import ConfigurationError
 from repro.kernel.base import SimKernel, make_kernel, numpy_unsupported_reason
-
-if TYPE_CHECKING:
-    from repro.network.simulator import NetworkConfig
+from repro.network.simulator import NetworkConfig
 
 __all__ = [
     "DiffReport",
@@ -81,7 +82,7 @@ def first_difference(
 class DiffReport:
     """Outcome of one lockstep differential run."""
 
-    config: "NetworkConfig"
+    config: NetworkConfig
     cycles_compared: int
     #: Completed-cycle count at the first observed divergence (``None``
     #: — the backends stayed equivalent).
@@ -115,7 +116,8 @@ class DiffReport:
         )
 
 
-class KernelDiffSystem:
+@dataclass
+class KernelDiffSystem(TransitionSystem):
     """Deterministic transition system replaying a lockstep comparison.
 
     The system exists so kernel divergences serialize through the same
@@ -123,32 +125,28 @@ class KernelDiffSystem:
     state is the pair of kernels; the single action ``("cycle",)``
     advances both by one network cycle (opening the measurement window
     when the configured warmup boundary is reached) and
-    :meth:`probe` raises when the packed states disagree.
+    :meth:`probe` raises when the packed states disagree.  ``network``
+    is the :meth:`NetworkConfig.to_state` form of the configuration, so
+    the system's config stays plain JSON.
     """
 
     name = "kernel-diff"
 
-    def __init__(
-        self, config: "NetworkConfig", warmup_cycles: int = 0
-    ) -> None:
-        reason = numpy_unsupported_reason(config)
+    network: dict[str, Any]
+    warmup_cycles: int = 0
+
+    def __post_init__(self) -> None:
+        self.network_config = NetworkConfig.from_state(self.network)
+        self.kind = self.network_config.buffer_kind
+        reason = numpy_unsupported_reason(self.network_config)
         if reason is not None:
             raise ConfigurationError(
                 f"cannot diff backends on this configuration ({reason})"
             )
-        if warmup_cycles < 0:
+        if self.warmup_cycles < 0:
             raise ConfigurationError("warmup_cycles must be >= 0")
-        self.network_config = config
-        self.warmup_cycles = warmup_cycles
 
-    def config(self) -> dict[str, Any]:
-        return {
-            "system": self.name,
-            "network": self.network_config.to_state(),
-            "warmup_cycles": self.warmup_cycles,
-        }
-
-    # -- transition-system protocol ------------------------------------
+    # -- transition-system interface -----------------------------------
 
     def initial(self) -> tuple[Hashable, Any]:
         reference = make_kernel(self.network_config, "reference")
@@ -156,9 +154,10 @@ class KernelDiffSystem:
         payload = (reference, vectorized)
         return self._key(payload), payload
 
-    def apply(
-        self, payload: Any, action: tuple[Any, ...]
-    ) -> tuple[Hashable, Any]:
+    def enumerate_actions(self, payload: Any) -> list[Action]:
+        return [("cycle",)]
+
+    def apply(self, payload: Any, action: Action) -> tuple[Hashable, Any]:
         if action != ("cycle",):
             raise ConfigurationError(f"unknown action {action!r}")
         reference, vectorized = payload
@@ -176,16 +175,11 @@ class KernelDiffSystem:
             where = first_difference(
                 reference.packed_state(), vectorized.packed_state()
             )
-            raise PropertyViolation(
-                Violation(
-                    prop=DIVERGENCE_PROP,
-                    message=(
-                        f"backends diverged at cycle {reference.cycle}: "
-                        f"first difference at {where} "
-                        f"(reference {left} != numpy {right})"
-                    ),
-                    kind=self.network_config.buffer_kind,
-                )
+            raise self.violation(
+                DIVERGENCE_PROP,
+                f"backends diverged at cycle {reference.cycle}: "
+                f"first difference at {where} "
+                f"(reference {left} != numpy {right})",
             )
 
     def _key(self, payload: tuple[SimKernel, SimKernel]) -> Hashable:
@@ -194,7 +188,7 @@ class KernelDiffSystem:
 
 
 def diff_kernels(
-    config: "NetworkConfig",
+    config: NetworkConfig,
     warmup_cycles: int = 200,
     measure_cycles: int = 900,
     compare_every: int = 1,
@@ -216,7 +210,7 @@ def diff_kernels(
     if compare_every < 1:
         raise ConfigurationError("compare_every must be >= 1")
     total = warmup_cycles + measure_cycles
-    system = KernelDiffSystem(config, warmup_cycles)
+    system = KernelDiffSystem(config.to_state(), warmup_cycles)
     _key, payload = system.initial()
     reference, vectorized = payload
     reference.prepare(total)

@@ -205,9 +205,7 @@ class NumpyKernel(SimKernel):
         self._buflevel_all = all(buflevel)
         self._buflevel_none = not any(buflevel)
         self.patterns = [
-            make_traffic(
-                cfg.traffic_kind, self.N, cfg.hot_fraction, cfg.hot_port
-            )
+            make_traffic(cfg.traffic_kind, self.N, cfg.hot_fraction)
             for cfg in configs
         ]
 

@@ -69,7 +69,7 @@ SOURCE_QUEUE_CAPACITY = 4
 #: Version tag of the simulator snapshot format.  Bump whenever the
 #: structure of :meth:`OmegaNetworkSimulator.snapshot` changes; restore
 #: refuses snapshots from any other version.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Test hook: when set to an integer N, a run that writes a checkpoint at
 #: exactly cycle N hard-exits the process immediately afterwards (the
@@ -100,7 +100,6 @@ class NetworkConfig:
     traffic_kind: str = "uniform"
     offered_load: float = 0.5
     hot_fraction: float = 0.05
-    hot_port: int = 0
     seed: int = 1988
     packet_size: int = 1
     #: When set, packet sizes are uniform on [packet_size, packet_size_max]
@@ -203,7 +202,6 @@ class OmegaNetworkSimulator:
             config.traffic_kind,
             config.num_ports,
             hot_fraction=config.hot_fraction,
-            hot_port=config.hot_port,
         )
         self.factory = PacketFactory()
         root = RandomStream(config.seed, "omega")

@@ -57,36 +57,30 @@ class UniformTraffic(TrafficPattern):
 class HotSpotTraffic(TrafficPattern):
     """Pfister/Norton hot-spot traffic.
 
-    Each packet goes to the hot output with probability ``hot_fraction``
-    and to a uniformly random output otherwise (the uniform component may
-    also land on the hot output, exactly as in the original model).
+    Each packet goes to the hot output, output 0, with probability
+    ``hot_fraction`` and to a uniformly random output otherwise (the
+    uniform component may also land on the hot output, exactly as in the
+    original model).
 
     Parameters
     ----------
     hot_fraction:
         Fraction of traffic redirected to the hot spot (0.05 in Table 6).
-    hot_port:
-        Index of the hot output (defaults to 0).
     """
 
     kind = "hotspot"
 
-    def __init__(
-        self, num_ports: int, hot_fraction: float = 0.05, hot_port: int = 0
-    ) -> None:
+    def __init__(self, num_ports: int, hot_fraction: float = 0.05) -> None:
         super().__init__(num_ports)
         if not 0.0 <= hot_fraction <= 1.0:
             raise ConfigurationError(
                 f"hot_fraction out of range: {hot_fraction}"
             )
-        if not 0 <= hot_port < num_ports:
-            raise ConfigurationError(f"hot_port {hot_port} out of range")
         self.hot_fraction = hot_fraction
-        self.hot_port = hot_port
 
     def destination(self, source: int, rng: RandomStream) -> int:
         if rng.bernoulli(self.hot_fraction):
-            return self.hot_port
+            return 0
         return rng.randint(0, self.num_ports)
 
 
@@ -117,14 +111,13 @@ def make_traffic(
     kind: str,
     num_ports: int,
     hot_fraction: float = 0.05,
-    hot_port: int = 0,
 ) -> TrafficPattern:
     """Construct a traffic pattern by table name."""
     normalized = kind.lower()
     if normalized == "uniform":
         return UniformTraffic(num_ports)
     if normalized in ("hotspot", "hot-spot", "hot_spot"):
-        return HotSpotTraffic(num_ports, hot_fraction, hot_port)
+        return HotSpotTraffic(num_ports, hot_fraction)
     if normalized == "permutation":
         return PermutationTraffic(num_ports)
     raise ConfigurationError(f"unknown traffic kind {kind!r}")

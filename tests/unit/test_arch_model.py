@@ -36,7 +36,7 @@ class TestArchConformance:
 
     @pytest.mark.parametrize("kind", ARCH_KINDS)
     def test_switch_verifies_clean(self, kind):
-        result = verify_switch(kind, 2, 4, protocol="discarding")
+        result = verify_switch(kind, 2, 4)
         assert result.violation is None
 
 

@@ -18,6 +18,12 @@ from repro.analysis.__main__ import main, verify_main
 from repro.analysis.counterexample import Counterexample
 from repro.analysis.model import (
     MUTATIONS,
+    BufferSystem,
+    DominanceSystem,
+    FifoRefinementSystem,
+    StarvationSystem,
+    SwitchSystem,
+    build_system,
     cross_validate,
     run_self_test,
     verify_buffer,
@@ -28,6 +34,8 @@ from repro.analysis.model import (
 )
 from repro.core.registry import PAPER_ORDER
 from repro.errors import ConfigurationError
+from repro.kernel.differential import KernelDiffSystem
+from repro.network.simulator import NetworkConfig
 from repro.telemetry import read_vcd, validate_chrome_trace
 
 
@@ -53,10 +61,6 @@ class TestBufferVerification:
         collapsed = verify_buffer("DAMQ", 3, 2, exact_layout=False)
         assert exact.ok and collapsed.ok
         assert exact.stats.states > collapsed.stats.states
-
-    def test_blocking_protocol_verifies(self):
-        result = verify_buffer("SAMQ", 4, 2, protocol="blocking")
-        assert result.ok, result.describe()
 
     def test_state_budget_sets_truncated_flag(self):
         result = verify_buffer("FIFO", 4, 2, max_states=5)
@@ -145,6 +149,51 @@ class TestStateSpacePins:
     def test_starvation(self, kind):
         result = verify_starvation(kind, 4, 2)
         assert explored(result) == STARVATION_PINS[kind]
+
+
+#: One instance of every transition system, knobs off their defaults
+#: where a system has them.
+SYSTEMS = [
+    BufferSystem("damq", 4, 2),
+    BufferSystem("DAMQ", 3, 2, exact_layout=False),
+    StarvationSystem("DAMQ-RSV", 4, 2),
+    SwitchSystem("SAFC", 2, 2),
+    SwitchSystem("FIFO", 2, 2, mode="markov"),
+    FifoRefinementSystem(4, 2),
+    DominanceSystem("samq", 4, 2),
+    KernelDiffSystem(NetworkConfig(num_ports=16).to_state(), 10),
+]
+
+
+def system_id(system):
+    values = system.config().values()
+    return "-".join(str(v) for v in values if not isinstance(v, dict))
+
+
+class TestBuildSystem:
+    @pytest.mark.parametrize("system", SYSTEMS, ids=system_id)
+    def test_config_round_trips(self, system):
+        config = system.config()
+        assert json.loads(json.dumps(config)) == config
+        assert build_system(config).config() == config
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=system_id)
+    def test_unknown_field_is_rejected(self, system):
+        config = {**system.config(), "protocol": "blocking"}
+        with pytest.raises(ConfigurationError, match="protocol"):
+            build_system(config)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=system_id)
+    def test_missing_field_is_rejected(self, system):
+        config = system.config()
+        field = sorted(set(config) - {"system"})[-1]
+        del config[field]
+        with pytest.raises(ConfigurationError, match=field):
+            build_system(config)
+
+    def test_unknown_system_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            build_system({"system": "bogus"})
 
 
 class TestSelfTest:

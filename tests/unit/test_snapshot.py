@@ -204,6 +204,15 @@ def test_network_config_from_state_names_an_unknown_field():
         NetworkConfig.from_state(state)
 
 
+def test_network_config_from_state_rejects_hot_port():
+    # Snapshots before version 3 carried the hot module's index; the hot
+    # module is now always output 0.
+    state = config().to_state()
+    state["hot_port"] = 5
+    with pytest.raises(ConfigurationError, match="hot_port"):
+        NetworkConfig.from_state(state)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint files
 # ---------------------------------------------------------------------------

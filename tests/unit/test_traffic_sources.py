@@ -34,10 +34,10 @@ class TestUniformTraffic:
 
 class TestHotSpotTraffic:
     def test_hot_port_receives_excess(self):
-        pattern = HotSpotTraffic(64, hot_fraction=0.05, hot_port=7)
+        pattern = HotSpotTraffic(64, hot_fraction=0.05)
         rng = RandomStream(3, "t")
         draws = [pattern.destination(0, rng) for _ in range(20000)]
-        hot_share = draws.count(7) / len(draws)
+        hot_share = draws.count(0) / len(draws)
         # 5% redirected + 1/64 uniform background ~ 6.5%
         assert 0.05 < hot_share < 0.09
 
@@ -50,8 +50,6 @@ class TestHotSpotTraffic:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             HotSpotTraffic(8, hot_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            HotSpotTraffic(8, hot_port=8)
 
 
 class TestPermutationTraffic:
