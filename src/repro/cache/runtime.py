@@ -27,7 +27,10 @@ from typing import Any
 
 from repro.cache.store import ResultCache
 
-__all__ = ["CacheContext", "activate", "active"]
+__all__ = ["CacheContext", "Dispatcher", "activate", "active"]
+
+#: Work executor ``(fn, items) -> results`` (see ``CacheContext``).
+Dispatcher = Callable[[Callable[[Any], Any], list[Any]], list[Any]]
 
 
 class CacheContext:
@@ -45,10 +48,12 @@ class CacheContext:
     checkpoint_dir:
         Directory for per-task checkpoint files.
     dispatcher:
-        Optional work executor ``(fn, items) -> results`` that replaces
-        the mapper's own per-call pool.  The simulation service installs
-        its long-lived supervised pool here so that one set of workers
-        serves the grid points of all its concurrent jobs.
+        Optional work executor ``(fn, items) -> results`` for every
+        map of the run; ``None`` runs the maps serially in-process.  The
+        runner installs the pool it opens for a ``jobs > 1`` run here,
+        and the simulation service its long-lived supervised pool, so
+        that one set of workers serves the grid points of all its
+        concurrent jobs.
     backend:
         Forced simulation backend (``"reference"``/``"numpy"``) applied
         to every grid the experiment fans out, or ``None`` to honour
@@ -63,8 +68,7 @@ class CacheContext:
         experiment: str,
         checkpoint_every: int | None = None,
         checkpoint_dir: str | Path | None = None,
-        dispatcher: Callable[[Callable[[Any], Any], list[Any]], list[Any]]
-        | None = None,
+        dispatcher: Dispatcher | None = None,
         backend: str | None = None,
     ) -> None:
         self.cache = cache

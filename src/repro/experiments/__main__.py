@@ -54,8 +54,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for each experiment's simulation grid "
-        "(0 = one per CPU; results are identical for any value)",
+        help="worker processes of the pool that serves each experiment's "
+        "simulation grids (0 = one per CPU; results are identical for "
+        "any value)",
     )
     parser.add_argument(
         "--backend",

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import ExperimentResult
+from repro.experiments.runner import run_experiment
 from repro.network.simulator import NetworkConfig
 from repro.perf.parallel import parallel_simulate
 from repro.switch.flow_control import Protocol
@@ -84,10 +85,8 @@ def _base_config(seed: int) -> NetworkConfig:
     )
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
-    """Benchmark the architecture zoo; honours ``jobs`` for the grid."""
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
+    """Benchmark the architecture zoo."""
     result = ExperimentResult(
         experiment_id="ext-arch",
         title="Extension: architecture zoo — CQ, reserved-slot DAMQ, "
@@ -125,9 +124,7 @@ def run(
         )
         for kind, scheduler in sched_grid
     ]
-    results = parallel_simulate(
-        configs + sched_configs, warmup, measure, jobs=jobs
-    )
+    results = parallel_simulate(configs + sched_configs, warmup, measure)
     cells = results[: len(grid)]
     sched_cells = results[len(grid) :]
 
@@ -252,7 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1988)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    result = run(quick=args.quick, seed=args.seed, jobs=args.jobs)
+    result = run_experiment(
+        "ext-arch", quick=args.quick, seed=args.seed, jobs=args.jobs
+    )
     print(result.render())
     if args.out is not None:
         document = benchmark_document(result, args.quick, args.seed)

@@ -53,13 +53,11 @@ def _campaign_task(
     )
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Run both fault campaigns and tabulate the results.
 
     The chip campaign is one closed-loop run (inherently serial); the
-    buffer degradation sweep is an independent grid and honours ``jobs``.
+    buffer degradation sweep is an independent grid.
     """
     result = ExperimentResult(
         experiment_id="ext-faults",
@@ -72,7 +70,7 @@ def run(
     # campaign's counters from the store instead of re-simulating.
     tasks = [(16, 1e-3, 1, 1 if quick else 2, seed)]
     campaign = parallel_map(
-        _campaign_task, tasks, jobs=1, codec="chip-campaign", payloads=tasks
+        _campaign_task, tasks, codec="chip-campaign", payloads=tasks
     )[0]
     chip_table = TextTable(
         "End-to-end recovery, 16-node mesh, bit flip rate 1e-3, "
@@ -113,7 +111,6 @@ def run(
         seed=seed,
         warmup_cycles=100 if quick else 200,
         measure_cycles=400 if quick else 1000,
-        jobs=jobs,
     )
     sweep_table = TextTable(
         "Delivered throughput at reduced capacity "

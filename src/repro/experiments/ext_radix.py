@@ -29,9 +29,7 @@ RADICES = (2, 4, 8)
 _KIND_ORDER = ("FIFO", "SAMQ", "SAFC", "DAMQ")
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Saturation throughput for each (radix, buffer architecture) pair.
 
     Buffer capacity per input port is ``2 * radix`` slots so the static
@@ -68,7 +66,6 @@ def run(
         ],
         warmup,
         measure,
-        jobs=jobs,
     )
     for (kind, radix), saturation in zip(grid, saturations):
         data[(kind, radix)] = saturation.saturation_throughput

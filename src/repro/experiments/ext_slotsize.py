@@ -71,9 +71,7 @@ def _fragmentation_task(task: tuple) -> float:
     return measured_fragmentation(slot_bytes, seed=seed)
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate the slot-size tradeoff discussion as a table."""
     result = ExperimentResult(
         experiment_id="ext-slotsize",
@@ -113,11 +111,7 @@ def run(
     result.data["measured"] = {}
     tasks = [(slot_bytes, seed) for slot_bytes in sizes_to_measure]
     fractions = parallel_map(
-        _fragmentation_task,
-        tasks,
-        jobs=jobs,
-        codec="json",
-        payloads=tasks,
+        _fragmentation_task, tasks, codec="json", payloads=tasks
     )
     for slot_bytes, fraction in zip(sizes_to_measure, fractions):
         result.data["measured"][slot_bytes] = fraction

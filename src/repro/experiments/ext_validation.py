@@ -71,9 +71,7 @@ def _validate_task(task: tuple) -> dict:
     }
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Cross-validate every configuration's chain, exactly."""
     configs = _QUICK_CONFIGS if quick else _FULL_CONFIGS
     result = ExperimentResult(
@@ -82,7 +80,7 @@ def run(
         paper_reference="Methodological check of Section 4.1",
     )
     tasks = [(kind, slots, rate) for kind, slots in configs for rate in _RATES]
-    rows = parallel_map(_validate_task, tasks, jobs=jobs, codec="json")
+    rows = parallel_map(_validate_task, tasks, codec="json")
     table = TextTable(
         "Discard probability and exact stationary agreement",
         [

@@ -25,9 +25,7 @@ _KIND_ORDER = ("FIFO", "SAMQ", "SAFC", "DAMQ")
 SLOTS = 8
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Compare fixed vs variable packet sizes across architectures.
 
     The statically partitioned buffers can only accept packets that fit a
@@ -62,14 +60,14 @@ def run(
     mean_size = 1.5  # uniform on {1, 2}
     fixed_sats = measure_saturation_grid(
         [base.with_overrides(buffer_kind=kind) for kind in _KIND_ORDER],
-        warmup, measure, jobs=jobs,
+        warmup, measure,
     )
     variable_sats = measure_saturation_grid(
         [
             base.with_overrides(buffer_kind=kind, packet_size_max=2)
             for kind in _KIND_ORDER
         ],
-        warmup, measure, jobs=jobs,
+        warmup, measure,
     )
     for kind, fixed_sat, variable_sat in zip(
         _KIND_ORDER, fixed_sats, variable_sats
@@ -121,7 +119,7 @@ def run(
             )
             for kind in _KIND_ORDER
         ],
-        warmup, measure, jobs=jobs,
+        warmup, measure,
     )
     for kind, saturation in zip(_KIND_ORDER, serialized_sats):
         value = saturation.saturation_throughput

@@ -69,13 +69,8 @@ def structural_facts(kind: str, capacity: int = 4, ports: int = 4) -> dict:
     }
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Figure 1 as diagrams plus a structural comparison."""
-    # ``jobs`` accepted for a uniform runner interface; this experiment
-    # has no simulation grid to fan out.
-    del jobs
     result = ExperimentResult(
         experiment_id="figure1",
         title="The four buffer organizations",

@@ -52,9 +52,7 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Figure 3 as a data table plus an ASCII rendering."""
     warmup, measure = sim_cycles(quick)
     loads = list(QUICK_LOADS if quick else SWEEP_LOADS)
@@ -76,7 +74,7 @@ def run(
             _KINDS,
             latency_throughput_curves(
                 [base.with_overrides(buffer_kind=kind) for kind in _KINDS],
-                loads, warmup, measure, jobs=jobs,
+                loads, warmup, measure,
             ),
         )
     )

@@ -5,21 +5,35 @@ experiment's module on its first call.  Importing this module therefore
 loads no experiment: a simulation run never pays for scipy, the Markov
 chains, the chip model or the fault campaigns that only Table 1, Table 2
 and some extensions need.
+
+The runner also decides how a run executes.  Experiments only describe
+their grids; :func:`run_experiment` resolves ``jobs`` and, above one,
+opens one supervised worker pool for the whole experiment and installs
+its ``map`` as the cache context's ``dispatcher`` — the same hook the
+simulation service fills with its long-lived pool.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 from typing import Any
 
-from repro.cache.runtime import CacheContext, activate
+from repro.cache.runtime import CacheContext, Dispatcher, activate
 from repro.cache.store import ResultCache
 from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "PAPER_EXPERIMENTS", "run_experiment", "run_all"]
+__all__ = [
+    "EXPERIMENTS",
+    "PAPER_EXPERIMENTS",
+    "resolve_jobs",
+    "run_experiment",
+    "run_all",
+]
 
 
 def _deferred(experiment_id: str) -> Callable[..., ExperimentResult]:
@@ -65,6 +79,35 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
 }
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a jobs request: ``None``/``0`` means one per CPU."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ConfigurationError(f"jobs must be positive, got {jobs}")
+    return jobs
+
+
+@contextmanager
+def _executor(
+    jobs: int | None, dispatcher: Dispatcher | None
+) -> Iterator[Dispatcher | None]:
+    """The run's dispatcher: the caller's, a pool of ``jobs`` workers
+    open for the duration, or ``None`` (serial) for one job."""
+    workers = resolve_jobs(jobs)
+    if dispatcher is not None or workers <= 1:
+        yield dispatcher
+        return
+    # Imported here so that a serial run never loads the service
+    # package (asyncio, HTTP server).
+    from repro.service.supervisor import SupervisedPool, SupervisorConfig
+
+    # No deadline: a full-fidelity grid point has no wall-clock bound.
+    config = SupervisorConfig(workers=workers, task_deadline=None)
+    with SupervisedPool(config) as pool:
+        yield pool.map
+
+
 def run_experiment(
     experiment_id: str,
     quick: bool = False,
@@ -73,15 +116,16 @@ def run_experiment(
     cache: ResultCache | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | Path | None = None,
-    dispatcher: Callable[[Callable[[Any], Any], list[Any]], list[Any]]
-    | None = None,
+    dispatcher: Dispatcher | None = None,
     backend: str | None = None,
 ) -> ExperimentResult:
     """Run one experiment by id ("table2", "figure3", ...).
 
-    ``jobs`` fans each experiment's independent simulation grid over that
-    many worker processes (``None``/``0`` = one per CPU).  Per-config
-    seeding makes the results byte-identical to a ``jobs=1`` run.
+    ``jobs`` fans the experiment's independent simulation grids over
+    that many worker processes (``None``/``0`` = one per CPU): above
+    one, a single supervised pool serves every grid of the experiment.
+    Per-config seeding makes the results byte-identical to a ``jobs=1``
+    run.
 
     ``cache`` memoizes the experiment's per-config simulations in a
     content-addressed store: a warm re-run serves every result from the
@@ -91,10 +135,10 @@ def run_experiment(
     mid-run instead of restarting.  Neither option changes the results
     in any bit.
 
-    ``dispatcher`` replaces the mapper's own per-call pool with an
-    external executor ``(fn, items) -> results`` — the simulation
-    service passes its long-lived supervised pool here so all its
-    concurrent jobs share one set of workers.
+    ``dispatcher`` is an external executor ``(fn, items) -> results``
+    that replaces the run's own pool (``jobs`` is then ignored) — the
+    simulation service passes its long-lived supervised pool here so
+    all its concurrent jobs share one set of workers.
 
     ``backend`` forces a simulation backend for every grid the
     experiment fans out (``"reference"`` or ``"numpy"``); ``None``
@@ -115,16 +159,17 @@ def run_experiment(
         from repro.kernel.base import normalize_backend
 
         backend = normalize_backend(backend)
-    context = CacheContext(
-        cache,
-        experiment_id,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        dispatcher=dispatcher,
-        backend=backend,
-    )
-    with activate(context):
-        return runner(quick=quick, seed=seed, jobs=jobs)
+    with _executor(jobs, dispatcher) as executor:
+        context = CacheContext(
+            cache,
+            experiment_id,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            dispatcher=executor,
+            backend=backend,
+        )
+        with activate(context):
+            return runner(quick=quick, seed=seed)
 
 
 def run_all(

@@ -41,13 +41,8 @@ def cut_through_turnaround(payload: bytes = b"\xab") -> tuple[int, TraceRecorder
     return turnaround, trace
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Table 1: the cut-through cycle/phase schedule."""
-    # ``jobs`` accepted for a uniform runner interface; this experiment
-    # has no simulation grid to fan out.
-    del jobs
     turnaround, trace = cut_through_turnaround()
     result = ExperimentResult(
         experiment_id="table1",

@@ -31,13 +31,8 @@ _QUICK_SIZES = {
 }
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Table 2 (all four architecture blocks)."""
-    # ``jobs`` accepted for a uniform runner interface; this experiment
-    # has no simulation grid to fan out.
-    del jobs
     result = ExperimentResult(
         experiment_id="table2",
         title="Probability for discarding — Markov analysis (2x2 switch)",

@@ -34,9 +34,7 @@ _CELLS = (
 )
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Table 3."""
     warmup, measure = sim_cycles(quick)
     result = ExperimentResult(
@@ -74,7 +72,6 @@ def run(
         ],
         warmup,
         measure,
-        jobs=jobs,
     )
     for (kind, (label, _load, _arbiter)), sim in zip(grid, sims):
         row = data.setdefault(kind, {})

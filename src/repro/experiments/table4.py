@@ -23,9 +23,7 @@ _KIND_ORDER = ("FIFO", "DAMQ", "SAFC", "SAMQ")
 PAPER_LOADS = (0.25, 0.30, 0.40, 0.50)
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Table 4."""
     warmup, measure = sim_cycles(quick)
     loads = PAPER_LOADS[:2] + (PAPER_LOADS[-1],) if quick else PAPER_LOADS
@@ -59,7 +57,6 @@ def run(
         ],
         warmup,
         measure,
-        jobs=jobs,
     )
     latencies_by_kind: dict[str, dict] = {kind: {} for kind in _KIND_ORDER}
     for (kind, load), sim in zip(grid, sims):
@@ -68,7 +65,6 @@ def run(
         [base.with_overrides(buffer_kind=kind) for kind in _KIND_ORDER],
         warmup,
         measure,
-        jobs=jobs,
     )
     for kind, saturation in zip(_KIND_ORDER, saturations):
         data[kind] = {

@@ -23,9 +23,7 @@ PAPER_SLOT_COUNTS = (3, 4, 8)
 _KIND_ORDER = ("FIFO", "DAMQ")
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Table 5."""
     warmup, measure = sim_cycles(quick)
     slot_counts = (3, 8) if quick else PAPER_SLOT_COUNTS
@@ -59,13 +57,13 @@ def run(
     ]
     sims_25 = parallel_simulate(
         [config.with_overrides(offered_load=0.25) for config in configs],
-        warmup, measure, jobs=jobs,
+        warmup, measure,
     )
     sims_50 = parallel_simulate(
         [config.with_overrides(offered_load=0.50) for config in configs],
-        warmup, measure, jobs=jobs,
+        warmup, measure,
     )
-    saturations = measure_saturation_grid(configs, warmup, measure, jobs=jobs)
+    saturations = measure_saturation_grid(configs, warmup, measure)
     for (kind, slots), sim_25, sim_50, saturation in zip(
         cells, sims_25, sims_50, saturations
     ):

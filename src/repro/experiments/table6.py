@@ -27,9 +27,7 @@ PAPER_HOT_LOADS = (0.125, 0.20)
 HOT_FRACTION = 0.05
 
 
-def run(
-    quick: bool = False, seed: int = 1988, jobs: int | None = 1
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     """Regenerate Table 6."""
     warmup, measure = sim_cycles(quick)
     loads = (PAPER_HOT_LOADS[0],) if quick else PAPER_HOT_LOADS
@@ -61,7 +59,6 @@ def run(
         ],
         warmup,
         measure,
-        jobs=jobs,
     )
     latencies_by_kind: dict[str, dict] = {kind: {} for kind in _KIND_ORDER}
     for (kind, load), sim in zip(grid, sims):
@@ -70,7 +67,6 @@ def run(
         [base.with_overrides(buffer_kind=kind) for kind in _KIND_ORDER],
         warmup,
         measure,
-        jobs=jobs,
     )
     for kind, saturation in zip(_KIND_ORDER, saturations):
         latencies = latencies_by_kind[kind]

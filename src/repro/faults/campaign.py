@@ -263,7 +263,6 @@ def run_buffer_sweep(
     seed: int = 1988,
     warmup_cycles: int = 200,
     measure_cycles: int = 1000,
-    jobs: int | None = 1,
 ) -> list[BufferSweepCell]:
     """Degraded-capacity throughput of the selected buffer architectures.
 
@@ -301,7 +300,6 @@ def run_buffer_sweep(
         ],
         warmup_cycles,
         measure_cycles,
-        jobs=jobs,
     )
     return [
         BufferSweepCell(

@@ -11,11 +11,7 @@ from repro.markov.analysis import (
 from repro.markov.arbitration import service_outcomes
 from repro.markov.chain import MarkovChain
 from repro.markov.models import SwitchChainBuilder, SwitchSteadyState
-from repro.markov.theory import (
-    HOL_ASYMPTOTE,
-    HOL_SATURATION,
-    hol_saturation_throughput,
-)
+from repro.markov.theory import HOL_SATURATION
 from repro.markov.ports import (
     DamqPortModel,
     FifoPortModel,
@@ -29,9 +25,7 @@ __all__ = [
     "DamqPortModel",
     "DiscardTable",
     "FifoPortModel",
-    "HOL_ASYMPTOTE",
     "HOL_SATURATION",
-    "hol_saturation_throughput",
     "MarkovChain",
     "PAPER_BUFFER_SIZES",
     "PAPER_TRAFFIC_GRID",

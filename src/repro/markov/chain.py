@@ -73,10 +73,17 @@ class MarkovChain:
         Matrix-free Arnoldi avoids the LU fill-in that makes a direct
         solve of the larger FIFO chains (~16k states) take half a minute;
         ARPACK converges in milliseconds for these well-separated spectra.
+        It starts from the uniform distribution, not its default random
+        vector, so every solve of one chain returns the same bits.
         """
+        n = self.num_states
         try:
             values, vectors = spla.eigs(
-                self.matrix.T.astype(float), k=1, which="LM", tol=1e-13
+                self.matrix.T.astype(float),
+                k=1,
+                which="LM",
+                tol=1e-13,
+                v0=np.full(n, 1.0 / n),
             )
         except Exception:
             return None

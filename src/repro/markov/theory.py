@@ -8,17 +8,13 @@ as buffers grow, and that the DAMQ (which has no head-of-line blocking)
 exceeds it.
 
 ``HOL_SATURATION`` lists the saturation throughputs of saturated FIFO
-input queues per switch size (Karol et al., Table I), ending at the
-famous ``2 - sqrt(2) ≈ 0.586`` asymptote.
+input queues per switch size (Karol et al., Table I); the sequence
+falls towards the ``2 - sqrt(2) ≈ 0.586`` limit of large switches.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import ConfigurationError
-
-__all__ = ["HOL_SATURATION", "HOL_ASYMPTOTE", "hol_saturation_throughput"]
+__all__ = ["HOL_SATURATION"]
 
 #: Saturation throughput of an n×n switch with saturated FIFO input
 #: queues (Karol/Hluchyj/Morgan 1986, Table I).
@@ -33,19 +29,3 @@ HOL_SATURATION: dict[int, float] = {
     8: 0.6184,
 }
 
-#: The n → ∞ head-of-line blocking limit, 2 - sqrt(2).
-HOL_ASYMPTOTE = 2.0 - math.sqrt(2.0)
-
-
-def hol_saturation_throughput(n: int) -> float:
-    """Head-of-line saturation throughput for an ``n×n`` FIFO switch.
-
-    Exact published values for ``n <= 8``; the asymptotic limit is
-    returned for larger switches (correct to within ~3% at n = 16 and
-    approaching exactness as n grows).
-    """
-    if n < 1:
-        raise ConfigurationError("switch size must be positive")
-    if n in HOL_SATURATION:
-        return HOL_SATURATION[n]
-    return HOL_ASYMPTOTE

@@ -81,9 +81,8 @@ def measure_saturation_grid(
     configs: Sequence[NetworkConfig],
     warmup_cycles: int = 2000,
     measure_cycles: int = 10000,
-    jobs: int | None = 1,
 ) -> list[SaturationResult]:
-    """Saturation point of every config, fanned over ``jobs`` processes.
+    """Saturation point of every config, in one simulation grid.
 
     The grid-shaped experiments (Tables 4-6, the radix/varlen extensions)
     all sweep independent configurations; this batches their saturation
@@ -93,7 +92,6 @@ def measure_saturation_grid(
         [config.with_overrides(offered_load=1.0) for config in configs],
         warmup_cycles,
         measure_cycles,
-        jobs=jobs,
     )
     return [
         SaturationResult(
@@ -112,17 +110,16 @@ def latency_throughput_curve(
     offered_loads: list[float],
     warmup_cycles: int = 2000,
     measure_cycles: int = 10000,
-    jobs: int | None = 1,
 ) -> list[CurvePoint]:
     """Sweep offered load and collect (delivered, latency) pairs.
 
     This regenerates the characteristic curve of Figure 3: flat latency up
     to the saturation throughput, then a nearly vertical wall (delivered
     throughput stops increasing while latency keeps climbing).  The sweep
-    points are independent runs, so ``jobs`` fans them over processes.
+    points are independent runs of one simulation grid.
     """
     return latency_throughput_curves(
-        [config], offered_loads, warmup_cycles, measure_cycles, jobs
+        [config], offered_loads, warmup_cycles, measure_cycles
     )[0]
 
 
@@ -131,7 +128,6 @@ def latency_throughput_curves(
     offered_loads: list[float],
     warmup_cycles: int = 2000,
     measure_cycles: int = 10000,
-    jobs: int | None = 1,
 ) -> list[list[CurvePoint]]:
     """One curve per config, every sweep point in one simulation grid.
 
@@ -144,7 +140,7 @@ def latency_throughput_curves(
         for load in offered_loads
     ]
     results: Iterator[SimulationResult] = iter(
-        parallel_simulate(grid, warmup_cycles, measure_cycles, jobs=jobs)
+        parallel_simulate(grid, warmup_cycles, measure_cycles)
     )
     # ``zip`` stops on the loads before it draws a result, so each curve
     # takes the next ``len(offered_loads)`` results.

@@ -5,9 +5,11 @@ every table cell and curve point is one :class:`~repro.network.simulator.
 NetworkConfig` with its own root seed, so the grid is embarrassingly
 parallel and bit-reproducible in any execution order.
 :func:`parallel_simulate` / :func:`parallel_map` map over independent
-runs on the supervised worker pool (``jobs=1`` degrades to the plain
-serial loop, so serial and parallel results are byte-identical), and
-:func:`simulated_cycles` counts the network cycles they executed.
+runs, memoized, on the run's executor: the supervised worker pool that
+:func:`~repro.experiments.runner.run_experiment` opens for a ``jobs > 1``
+run (or the service's pool), else the plain serial loop, so serial and
+pooled results are byte-identical.  :func:`simulated_cycles` counts the
+network cycles they executed.
 
 Nothing here reads a clock.  Performance is measured by the benchmark
 of record, ``benchmarks/suite`` (see its README), and the two kernel
@@ -17,7 +19,6 @@ backends' speedup ratio by ``python -m repro.kernel bench``.
 from repro.perf.parallel import (
     parallel_map,
     parallel_simulate,
-    resolve_jobs,
     reset_simulated_cycles,
     simulated_cycles,
 )
@@ -25,7 +26,6 @@ from repro.perf.parallel import (
 __all__ = [
     "parallel_map",
     "parallel_simulate",
-    "resolve_jobs",
     "reset_simulated_cycles",
     "simulated_cycles",
 ]

@@ -1,11 +1,11 @@
-"""Supervised multi-process map over independent simulation runs, memoized.
+"""Memoized map over independent simulation runs, on the run's pool.
 
 Every cell of the paper's tables is one :class:`NetworkConfig` simulated
 in isolation; all randomness derives from ``config.seed`` through named
 substreams, so a run's result does not depend on which process executes
-it or in what order.  ``parallel_simulate`` exploits that: it fans a list
-of configs over worker processes and returns results in input order,
-byte-identical to the serial loop.
+it or in what order.  ``parallel_simulate`` exploits that: it hands a
+list of configs to the run's executor and returns results in input
+order, byte-identical to the serial loop.
 
 The same purity makes the work *memoizable*.  When an experiment runs
 under an active :mod:`repro.cache` context, :func:`parallel_map` keys
@@ -14,28 +14,18 @@ fingerprint, serves hits straight from the content-addressed store, and
 executes only the misses — a warm re-run of an unchanged suite performs
 zero simulations.
 
-``jobs=1`` (the default everywhere) runs the exact same ``simulate``
-calls serially in the parent process, free of multiprocessing overhead.
-``jobs > 1`` runs them on a
-:class:`~repro.service.supervisor.SupervisedPool` — the repo's one
-worker pool, imported only on that path.  A worker that dies (segfault,
-OOM kill, ``os._exit``) is retried under
-:data:`~repro.service.backoff.TASK_RETRY`: a checkpointed task resumes
-from the dead worker's last on-disk checkpoint, an uncheckpointed one
-reruns from cycle 0 (safe, since every task is a pure function of its
-seeded config).  When the budget runs out the pool raises
-:class:`~repro.errors.WorkerFailedError` naming the task, its attempt
-count and its checkpoint.
-
-When the active :class:`~repro.cache.runtime.CacheContext` carries a
-``dispatcher``, execution is delegated to it instead: the simulation
-service installs its long-lived supervised pool this way, shared by all
-concurrent jobs.
+How the misses execute is a property of the run, not of the map.  The
+active :class:`~repro.cache.runtime.CacheContext` may carry a
+``dispatcher`` ``(fn, items) -> results``: the experiment runner
+installs the ``map`` of one
+:class:`~repro.service.supervisor.SupervisedPool` per ``jobs > 1`` run,
+and the simulation service installs its long-lived pool, shared by all
+concurrent jobs.  Without one, the misses run serially in this process,
+free of multiprocessing overhead.  This module never builds a pool.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, cast
@@ -52,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "parallel_map",
     "parallel_simulate",
-    "resolve_jobs",
     "reset_simulated_cycles",
     "simulated_cycles",
 ]
@@ -73,15 +62,6 @@ def reset_simulated_cycles() -> None:
     """Zero the cycle counter (the benchmark calls this per experiment)."""
     global _cycles_simulated
     _cycles_simulated = 0
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a jobs request: ``None``/``0`` means one per CPU."""
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ConfigurationError(f"jobs must be positive, got {jobs}")
-    return jobs
 
 
 def _cycle_counter(cycles_per_run: int) -> Callable[[int], None]:
@@ -140,24 +120,31 @@ def _memoized(
     return results
 
 
+def _dispatch(fn: Callable[[Any], Any], work: list[Any]) -> list[Any]:
+    """``[fn(item) for item in work]`` on the active dispatcher, if any."""
+    context = runtime.active()
+    if context is not None and context.dispatcher is not None:
+        return context.dispatcher(fn, work)
+    return [fn(item) for item in work]
+
+
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
-    jobs: int | None = 1,
     *,
     codec: str | None = None,
     payloads: Sequence[Any] | None = None,
     on_executed: Callable[[int], None] | None = None,
 ) -> list[Any]:
-    """``[fn(item) for item in items]``, memoized and optionally pooled.
+    """``[fn(item) for item in items]``, memoized, on the run's executor.
 
     ``fn`` and every item must be picklable (``fn`` defined at module top
-    level).  Results come back in input order.  Exceptions raised *inside*
-    a worker propagate unchanged; a worker process that dies outright is
-    retried under :data:`~repro.service.backoff.TASK_RETRY` and reported
-    as :class:`~repro.errors.WorkerFailedError` once the budget is spent.
-    A context carrying a ``dispatcher`` delegates all execution —
-    pooling, retries and supervision included — to it.
+    level), since the active context's ``dispatcher`` may ship them to
+    worker processes.  Results come back in input order.  Exceptions
+    raised *inside* a worker propagate unchanged; on the supervised pool
+    a worker process that dies outright is retried under
+    :data:`~repro.service.backoff.TASK_RETRY` and reported as
+    :class:`~repro.errors.WorkerFailedError` once the budget is spent.
 
     ``codec`` opts the call into the result cache: when a
     :mod:`repro.cache` context is active, each unit of work is keyed by
@@ -167,28 +154,13 @@ def parallel_map(
     sentinel.  ``on_executed`` receives the number of items actually
     executed (for the :func:`simulated_cycles` accounting).
     """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
-    context = runtime.active()
-    dispatcher = context.dispatcher if context is not None else None
-
-    def execute(work: list[Any]) -> list[Any]:
-        if dispatcher is not None:
-            return dispatcher(fn, work)
-        if jobs <= 1 or len(work) <= 1:
-            return [fn(item) for item in work]
-        # Imported here so that importing this module never loads the
-        # service package (asyncio, HTTP server) on the serial paths.
-        from repro.service.supervisor import SupervisedPool, SupervisorConfig
-
-        # No deadline: a full-fidelity grid point has no wall-clock bound.
-        config = SupervisorConfig(
-            workers=min(jobs, len(work)), task_deadline=None
-        )
-        with SupervisedPool(config) as pool:
-            return pool.map(fn, work)
-
-    return _memoized(execute, items, codec, payloads, on_executed)
+    return _memoized(
+        lambda work: _dispatch(fn, work),
+        list(items),
+        codec,
+        payloads,
+        on_executed,
+    )
 
 
 def _simulate_task(task: tuple[Any, ...]) -> "SimulationResult":
@@ -254,46 +226,6 @@ def _resolve_backends(
     ]
 
 
-def _mixed_backend_simulate(
-    configs: list["NetworkConfig"],
-    payloads: list[dict[str, Any]],
-    backends: list[str],
-    warmup_cycles: int,
-    measure_cycles: int,
-    jobs: int | None,
-) -> list["SimulationResult"]:
-    """Route a grid whose configs resolved to different backends.
-
-    The numpy subset is served from the cache where possible, with the
-    misses fused into batch kernels in this process; the reference
-    subset re-enters :func:`parallel_simulate` with the backend pinned,
-    keeping its pooling/checkpointing/caching behaviour untouched.
-    """
-    results: list[Any] = [None] * len(configs)
-    numpy_indices = [i for i, b in enumerate(backends) if b == "numpy"]
-    reference_indices = [i for i, b in enumerate(backends) if b != "numpy"]
-    numpy_results = _memoized(
-        lambda work: _numpy_group_simulate(work, warmup_cycles, measure_cycles),
-        [configs[i] for i in numpy_indices],
-        "simulation-result",
-        [payloads[i] for i in numpy_indices],
-        _cycle_counter(warmup_cycles + measure_cycles),
-    )
-    for index, result in zip(numpy_indices, numpy_results):
-        results[index] = result
-    if reference_indices:
-        reference_results = parallel_simulate(
-            [configs[i] for i in reference_indices],
-            warmup_cycles,
-            measure_cycles,
-            jobs=jobs,
-            backend="reference",
-        )
-        for index, result in zip(reference_indices, reference_results):
-            results[index] = result
-    return results
-
-
 def _numpy_group_simulate(
     configs: Sequence["NetworkConfig"],
     warmup_cycles: int,
@@ -326,13 +258,12 @@ def parallel_simulate(
     configs: Sequence["NetworkConfig"],
     warmup_cycles: int = 2000,
     measure_cycles: int = 10000,
-    jobs: int | None = 1,
     backend: str | None = None,
 ) -> list["SimulationResult"]:
-    """Simulate every config, in input order, over ``jobs`` processes.
+    """Simulate every config, in input order, on the run's executor.
 
-    Per-config seeding makes the result list byte-identical for any
-    ``jobs`` value; ``jobs=1`` is a plain serial loop in this process.
+    Per-config seeding makes the result list byte-identical however the
+    run executes it: serially, on the runner's pool or on the service's.
     Under an active cache context, previously computed configs are
     served from the store (and only cache misses count toward
     :func:`simulated_cycles`); with checkpointing configured, each
@@ -341,14 +272,13 @@ def parallel_simulate(
 
     ``backend`` forces a simulation backend for the whole grid; ``None``
     honours the ``REPRO_BACKEND`` preference (see
-    :func:`repro.kernel.base.resolve_backend`).  Configs that resolve to
-    the numpy backend are fused into struct-of-arrays batch kernels and
-    run in this process — vectorization replaces the pool — while the
-    rest (unsupported configs under a soft preference, or everything
-    under active instrumentation) take the standard reference path.
-    Results are byte-identical either way, so the two routes share one
-    cache namespace: a result computed by either backend is a hit for
-    both.
+    :func:`repro.kernel.base.resolve_backend`).  The misses that resolve
+    to the numpy backend are fused into struct-of-arrays batch kernels
+    and run in this process — vectorization replaces the pool — while
+    the rest (unsupported configs under a soft preference, or everything
+    under active instrumentation) go to the executor.  Results are
+    byte-identical either way, so the two routes share one cache
+    namespace: a result computed by either backend is a hit for both.
     """
     configs = list(configs)
     payloads = [
@@ -365,40 +295,49 @@ def parallel_simulate(
         # experiments stay backend-oblivious (see CacheContext.backend).
         backend = context.backend
     backends = _resolve_backends(configs, backend, context)
-    if "numpy" in backends:
-        return _mixed_backend_simulate(
-            configs,
-            payloads,
-            backends,
-            warmup_cycles,
-            measure_cycles,
-            jobs,
-        )
-    tasks: list[tuple[Any, ...]]
+    checkpoint: tuple[Any, Path] | None = None
     if context is not None and context.checkpointing:
         # ``checkpointing`` guarantees the directory is set.
-        directory = cast(Path, context.checkpoint_dir)
-        tasks = []
-        for config, payload in zip(configs, payloads):
-            stamp = digest_json(payload)
-            tasks.append(
-                (
-                    config,
-                    warmup_cycles,
-                    measure_cycles,
-                    context.checkpoint_every,
-                    str(directory / f"{stamp[:32]}.ckpt"),
+        checkpoint = (
+            context.checkpoint_every,
+            cast(Path, context.checkpoint_dir),
+        )
+
+    def task(index: int) -> tuple[Any, ...]:
+        if checkpoint is None:
+            return (configs[index], warmup_cycles, measure_cycles)
+        every, directory = checkpoint
+        stamp = digest_json(payloads[index])
+        return (
+            configs[index],
+            warmup_cycles,
+            measure_cycles,
+            every,
+            str(directory / f"{stamp[:32]}.ckpt"),
+        )
+
+    def execute(missed: list[int]) -> list[Any]:
+        fused = [i for i in missed if backends[i] == "numpy"]
+        pooled = [i for i in missed if backends[i] != "numpy"]
+        results: dict[int, Any] = {}
+        if fused:
+            group = [configs[i] for i in fused]
+            results.update(
+                zip(
+                    fused,
+                    _numpy_group_simulate(group, warmup_cycles, measure_cycles),
                 )
             )
-    else:
-        tasks = [
-            (config, warmup_cycles, measure_cycles) for config in configs
-        ]
-    return parallel_map(
-        _simulate_task,
-        tasks,
-        jobs=jobs,
-        codec="simulation-result",
-        payloads=payloads,
-        on_executed=_cycle_counter(warmup_cycles + measure_cycles),
+        if pooled:
+            results.update(
+                zip(pooled, _dispatch(_simulate_task, [task(i) for i in pooled]))
+            )
+        return [results[i] for i in missed]
+
+    return _memoized(
+        execute,
+        list(range(len(configs))),
+        "simulation-result",
+        payloads,
+        _cycle_counter(warmup_cycles + measure_cycles),
     )

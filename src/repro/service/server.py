@@ -348,7 +348,6 @@ class SimulationService:
                 spec.experiment,
                 quick=spec.quick,
                 seed=spec.seed,
-                jobs=1,
                 cache=self._sim_cache,
                 checkpoint_every=self.config.checkpoint_every,
                 checkpoint_dir=self._checkpoint_dir,

@@ -1,10 +1,13 @@
 """Supervised worker-process pool: heartbeats, deadlines, bounded retries.
 
-The repo's one worker pool.  :func:`repro.perf.parallel.parallel_map`
-runs every ``jobs > 1`` map on a short-lived :class:`SupervisedPool`,
-and :mod:`repro.service` shares one long-lived pool across its
-concurrent jobs.  The pool keeps *named* worker processes under
-continuous supervision:
+The repo's one worker pool.  The experiment runner
+(:func:`~repro.experiments.runner.run_experiment`) opens one
+:class:`SupervisedPool` for each ``jobs > 1`` run and serves every map
+of the experiment from it, and :mod:`repro.service` shares one
+long-lived pool across its concurrent jobs; either way
+:func:`repro.perf.parallel.parallel_map` reaches the pool through the
+cache context's ``dispatcher``.  The pool keeps *named* worker
+processes under continuous supervision:
 
 * each worker carries a **heartbeat thread** writing into shared memory;
   a stale heartbeat (wedged process) or a dead PID is detected within a

@@ -38,3 +38,29 @@ def fill_buffer(buffer, destination: int, count: int, start_id: int = 100):
         buffer.push(packet, destination)
         packets.append(packet)
     return packets
+
+
+def run_as_experiment(body, name: str = "stub", **options):
+    """Return ``body()``, run as the whole of an experiment.
+
+    ``body`` becomes a registered experiment for the duration of one
+    :func:`~repro.experiments.runner.run_experiment` call, which gets
+    ``options`` (``jobs=2`` gives the run its own supervised pool;
+    ``cache`` and the checkpoint options activate as for any experiment).
+    """
+    from unittest import mock
+
+    from repro.experiments import runner
+    from repro.experiments.report import ExperimentResult
+
+    values = []
+
+    def run(quick=False, seed=1988):
+        values.append(body())
+        return ExperimentResult(
+            experiment_id=name, title=name, paper_reference="stub"
+        )
+
+    with mock.patch.dict(runner.EXPERIMENTS, {name: run}):
+        runner.run_experiment(name, **options)
+    return values[0]

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache.runtime import CacheContext, activate
 from repro.cache.store import ResultCache
 from repro.network.simulator import (
     CHECKPOINT_EXIT_CODE,
@@ -32,6 +31,7 @@ from repro.perf.parallel import (
     reset_simulated_cycles,
     simulated_cycles,
 )
+from tests.conftest import run_as_experiment
 
 WARMUP, MEASURE, EVERY, KILL_AT = 100, 300, 50, 200
 
@@ -121,11 +121,13 @@ GRID = [
 
 def test_checkpointed_parallel_run_matches_plain(tmp_path):
     reference = [simulate(config, WARMUP, MEASURE) for config in GRID]
-    context = CacheContext(
-        None, "ckpt-test", checkpoint_every=EVERY, checkpoint_dir=tmp_path
+    results = run_as_experiment(
+        lambda: parallel_simulate(GRID, WARMUP, MEASURE),
+        "ckpt-test",
+        jobs=2,
+        checkpoint_every=EVERY,
+        checkpoint_dir=tmp_path,
     )
-    with activate(context):
-        results = parallel_simulate(GRID, WARMUP, MEASURE, jobs=2)
     for got, want in zip(results, reference):
         assert meters_of(got) == meters_of(want)
     # Checkpoints are scratch state; completed tasks remove theirs.
@@ -134,28 +136,29 @@ def test_checkpointed_parallel_run_matches_plain(tmp_path):
 
 def test_dead_workers_auto_resume_from_checkpoints(tmp_path, monkeypatch):
     reference = [simulate(config, WARMUP, MEASURE) for config in GRID]
-    cache = ResultCache(tmp_path / "cache")
-    context = CacheContext(
-        cache,
-        "kill-test",
+    options = dict(
+        jobs=2,
+        cache=ResultCache(tmp_path / "cache"),
         checkpoint_every=EVERY,
         checkpoint_dir=tmp_path / "checkpoints",
     )
-    # Every worker kills itself at its first KILL_AT checkpoint; the
-    # replacement pool resumes each task from the dead worker's file
+
+    def grid():
+        return parallel_simulate(GRID, WARMUP, MEASURE)
+
+    # Every worker kills itself at its first KILL_AT checkpoint; its
+    # replacement resumes the task from the dead worker's file
     # (which is past KILL_AT, so the resumed run survives the env).
     monkeypatch.setenv(CHECKPOINT_EXIT_ENV, str(KILL_AT))
     reset_simulated_cycles()
-    with activate(context):
-        results = parallel_simulate(GRID, WARMUP, MEASURE, jobs=2)
+    results = run_as_experiment(grid, "kill-test", **options)
     for got, want in zip(results, reference):
         assert meters_of(got) == meters_of(want)
 
     # The recovered results were cached; a warm pass runs no simulation.
     monkeypatch.delenv(CHECKPOINT_EXIT_ENV)
     reset_simulated_cycles()
-    with activate(context):
-        warm = parallel_simulate(GRID, WARMUP, MEASURE, jobs=2)
+    warm = run_as_experiment(grid, "kill-test", **options)
     assert simulated_cycles() == 0
     for got, want in zip(warm, reference):
         assert meters_of(got) == meters_of(want)

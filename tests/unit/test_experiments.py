@@ -191,7 +191,7 @@ class TestRunAll:
 
     @staticmethod
     def _stub(name, calls):
-        def run(quick=False, seed=1988, jobs=1):
+        def run(quick=False, seed=1988):
             from repro.cache import runtime
 
             context = runtime.active()
@@ -201,7 +201,7 @@ class TestRunAll:
                     "name": name,
                     "quick": quick,
                     "seed": seed,
-                    "jobs": jobs,
+                    "pooled": context.dispatcher is not None,
                     "experiment": context.experiment,
                     "cache": context.cache,
                     "checkpointing": context.checkpointing,
@@ -241,7 +241,7 @@ class TestRunAll:
         for call in calls:
             assert call["quick"] is True
             assert call["seed"] == 7
-            assert call["jobs"] == 2
+            assert call["pooled"]  # jobs=2 gives the run a pool
             assert call["cache"] is cache  # one store shared by the suite
             assert call["checkpointing"] is True
         # The context is torn down between and after experiments.
@@ -258,6 +258,7 @@ class TestRunAll:
         assert len(results) == 1
         assert calls[0]["cache"] is None
         assert calls[0]["checkpointing"] is False
+        assert calls[0]["pooled"] is False
 
     def test_run_experiment_normalizes_case(self, monkeypatch):
         from repro.experiments import runner
@@ -269,3 +270,69 @@ class TestRunAll:
         result = runner.run_experiment("MiXeD")
         assert result.experiment_id == "mixed"
         assert calls[0]["experiment"] == "mixed"
+
+
+def _three_grids(quick=False, seed=1988):
+    """A stub network experiment: three grid calls on 16-port networks."""
+    from repro.network import NetworkConfig, measure_saturation_grid
+    from repro.perf import parallel_simulate
+    from repro.utils.tables import format_value
+
+    kinds = ("FIFO", "DAMQ")
+    configs = [
+        NetworkConfig(num_ports=16, radix=4, buffer_kind=kind, seed=seed)
+        for kind in kinds
+    ]
+    light, heavy = (
+        parallel_simulate(
+            [config.with_overrides(offered_load=load) for config in configs],
+            100,
+            300,
+        )
+        for load in (0.3, 0.6)
+    )
+    saturations = measure_saturation_grid(configs, 100, 300)
+    table = TextTable("stub", ["Buffer", "lat @0.3", "lat @0.6", "sat"])
+    for kind, low, high, saturation in zip(kinds, light, heavy, saturations):
+        table.add_row(
+            [
+                kind,
+                format_value(low.average_latency, 3),
+                format_value(high.average_latency, 3),
+                format_value(saturation.saturation_throughput, 4),
+            ]
+        )
+    result = ExperimentResult(
+        experiment_id="grids", title="grids", paper_reference="stub"
+    )
+    result.tables.append(table)
+    return result
+
+
+class TestRunLevelPool:
+    """A ``jobs > 1`` run opens one pool that serves all its grids."""
+
+    def test_one_pool_serves_every_grid_of_the_run(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.service.supervisor import SupervisedPool
+
+        starts, maps = [], []
+        start, map_ = SupervisedPool.start, SupervisedPool.map
+
+        def counted_start(pool):
+            starts.append(pool)
+            return start(pool)
+
+        def counted_map(pool, fn, items):
+            maps.append(len(items))
+            return map_(pool, fn, items)
+
+        monkeypatch.setattr(SupervisedPool, "start", counted_start)
+        monkeypatch.setattr(SupervisedPool, "map", counted_map)
+        monkeypatch.setattr(runner, "EXPERIMENTS", {"grids": _three_grids})
+        serial = runner.run_experiment("grids", backend="reference")
+        assert starts == [] and maps == []
+        pooled = runner.run_experiment("grids", jobs=2, backend="reference")
+        assert len(starts) == 1
+        assert maps == [2, 2, 2]  # every grid ran on that one pool
+        assert pooled.render() == serial.render()

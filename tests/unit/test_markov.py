@@ -43,6 +43,15 @@ class TestMarkovChain:
         with pytest.raises(ConfigurationError):
             MarkovChain(sp.csr_matrix(np.ones((2, 3)) / 3))
 
+    def test_arpack_solve_is_deterministic(self):
+        """Chains above 64 states go through ARPACK; a fixed start
+        vector makes repeated solves bitwise equal."""
+        builder = SwitchChainBuilder("DAMQ", 4)
+        first = builder.chain(0.95).steady_state()
+        second = builder.chain(0.95).steady_state()
+        assert len(first) > 64
+        assert first.tobytes() == second.tobytes()
+
     def test_expected_value(self):
         matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         chain = MarkovChain(matrix)

@@ -2,31 +2,18 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.markov.analysis import analyze_switch
-from repro.markov.theory import (
-    HOL_ASYMPTOTE,
-    HOL_SATURATION,
-    hol_saturation_throughput,
-)
+from repro.markov.theory import HOL_SATURATION
 
 
 class TestConstants:
     def test_table_values(self):
-        assert hol_saturation_throughput(2) == 0.75  # repro: noqa=REP004 closed-form value is exactly representable
-        assert hol_saturation_throughput(4) == pytest.approx(0.6553)
-
-    def test_asymptote_for_large_switches(self):
-        assert hol_saturation_throughput(100) == HOL_ASYMPTOTE
-        assert HOL_ASYMPTOTE == pytest.approx(0.5858, abs=1e-4)
+        assert HOL_SATURATION[2] == 0.75  # repro: noqa=REP004 closed-form value is exactly representable
+        assert HOL_SATURATION[4] == pytest.approx(0.6553)
 
     def test_monotone_decreasing(self):
         values = [HOL_SATURATION[n] for n in sorted(HOL_SATURATION)]
         assert values == sorted(values, reverse=True)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            hol_saturation_throughput(0)
 
 
 class TestChainsMatchTheory:
@@ -41,11 +28,11 @@ class TestChainsMatchTheory:
     def test_damq_exceeds_hol_limit(self):
         """No head-of-line blocking: DAMQ sails past the FIFO ceiling."""
         throughput = analyze_switch("DAMQ", 6, traffic_rate=1.0).throughput
-        assert throughput > hol_saturation_throughput(2) + 0.05
+        assert throughput > HOL_SATURATION[2] + 0.05
 
     def test_safc_also_exceeds_hol_limit(self):
         throughput = analyze_switch("SAFC", 6, traffic_rate=1.0).throughput
-        assert throughput > hol_saturation_throughput(2)
+        assert throughput > HOL_SATURATION[2]
 
     def test_fifo_discard_at_saturation_follows_limit(self):
         """discard ≈ 1 - (HOL limit / arrival rate) at full load."""

@@ -8,15 +8,16 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, WorkerFailedError
+from repro.experiments.runner import resolve_jobs
 from repro.network.simulator import NetworkConfig
 from repro.perf import (
     parallel_map,
     parallel_simulate,
     reset_simulated_cycles,
-    resolve_jobs,
     simulated_cycles,
 )
 from repro.service.backoff import TASK_RETRY
+from tests.conftest import run_as_experiment
 
 #: A small grid of independent configs (different loads and seeds).
 GRID = [
@@ -70,15 +71,17 @@ class TestResolveJobs:
 
 class TestParallelSimulate:
     def test_parallel_rows_identical_to_serial(self):
-        serial = parallel_simulate(GRID, 100, 400, jobs=1)
-        parallel = parallel_simulate(GRID, 100, 400, jobs=4)
+        serial = parallel_simulate(GRID, 100, 400)
+        parallel = run_as_experiment(
+            lambda: parallel_simulate(GRID, 100, 400), jobs=4
+        )
         assert [fingerprint(r) for r in serial] == [
             fingerprint(r) for r in parallel
         ]
 
     def test_cycle_accounting(self):
         reset_simulated_cycles()
-        parallel_simulate(GRID, 100, 400, jobs=1)
+        parallel_simulate(GRID, 100, 400)
         assert simulated_cycles() == (100 + 400) * len(GRID)
         reset_simulated_cycles()
         assert simulated_cycles() == 0
@@ -87,17 +90,21 @@ class TestParallelSimulate:
 class TestParallelMap:
     def test_worker_exception_propagates(self):
         with pytest.raises(ZeroDivisionError):
-            parallel_map(_div_by_zero, [1, 2], jobs=2)
+            run_as_experiment(
+                lambda: parallel_map(_div_by_zero, [1, 2]), jobs=2
+            )
 
     def test_crashed_worker_reported_cleanly(self):
         with pytest.raises(WorkerFailedError) as info:
-            parallel_map(_crash, [1, 2], jobs=2)
+            run_as_experiment(lambda: parallel_map(_crash, [1, 2]), jobs=2)
         assert info.value.attempts == TASK_RETRY.max_attempts
 
     def test_dead_worker_retried_without_checkpointing(self, tmp_path):
-        # No cache context, no checkpoint: the task reruns from scratch.
+        # No cache, no checkpoint: the task reruns from scratch.
         items = [(str(tmp_path / "a"), 1), (str(tmp_path / "b"), 2)]
-        assert parallel_map(_die_once, items, jobs=2) == [2, 4]
+        assert run_as_experiment(
+            lambda: parallel_map(_die_once, items), jobs=2
+        ) == [2, 4]
 
     def test_import_leaves_the_service_unloaded(self):
         probe = (
