@@ -19,6 +19,7 @@ single-threaded CLI paths the behaviour is unchanged.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -57,9 +58,18 @@ class CacheContext:
     backend:
         Forced simulation backend (``"reference"``/``"numpy"``) applied
         to every grid the experiment fans out, or ``None`` to honour
-        the ambient ``REPRO_BACKEND`` preference.  Ambient for the same
-        reason the cache is: the figure/table code stays
-        backend-oblivious.
+        the ambient ``REPRO_BACKEND`` preference, else the numpy
+        default, softly.  Ambient for the same reason the cache is: the
+        figure/table code stays backend-oblivious.
+
+    Attributes
+    ----------
+    backends:
+        Simulations executed under this context, per backend (cache
+        hits execute nothing and are not counted).
+    fallbacks:
+        Why executed simulations fell back from a soft numpy preference
+        to the reference kernel, with a count per reason.
     """
 
     def __init__(
@@ -79,6 +89,8 @@ class CacheContext:
         )
         self.dispatcher = dispatcher
         self.backend = backend
+        self.backends: Counter[str] = Counter()
+        self.fallbacks: Counter[str] = Counter()
 
     @property
     def checkpointing(self) -> bool:

@@ -48,6 +48,13 @@ class ExperimentResult:
     notes: list[str] = field(default_factory=list)
     #: Structured data for programmatic checks (tests assert on this).
     data: dict = field(default_factory=dict)
+    #: Which backend ran the simulations this run executed, and why any
+    #: fell back: ``{"simulations": {backend: count}, "fallbacks":
+    #: {reason: count}}``.  Filled by the runner; never rendered, and
+    #: ignored by ``==`` because the report is backend-independent.
+    backends: dict[str, dict[str, int]] = field(
+        default_factory=dict, compare=False
+    )
 
     def render(self) -> str:
         """Human-readable report: header, tables, notes."""

@@ -142,10 +142,12 @@ def run_experiment(
 
     ``backend`` forces a simulation backend for every grid the
     experiment fans out (``"reference"`` or ``"numpy"``); ``None``
-    honours the ``REPRO_BACKEND`` preference.  Results are
-    byte-identical across backends — a forced numpy request merely
-    raises :class:`ConfigurationError` when combined with a feature the
-    vectorized kernel does not implement.
+    honours the ``REPRO_BACKEND`` preference, else runs numpy wherever
+    it is exact.  Results are byte-identical across backends — a forced
+    numpy request merely raises :class:`ConfigurationError` when
+    combined with a feature the vectorized kernel does not implement.
+    The result's ``backends`` says which backend ran each executed
+    simulation and why any fell back.
     """
     experiment_id = experiment_id.lower()
     try:
@@ -169,7 +171,12 @@ def run_experiment(
             backend=backend,
         )
         with activate(context):
-            return runner(quick=quick, seed=seed)
+            result = runner(quick=quick, seed=seed)
+    result.backends = {
+        "simulations": dict(context.backends),
+        "fallbacks": dict(context.fallbacks),
+    }
+    return result
 
 
 def run_all(

@@ -9,13 +9,16 @@ interface in front of it and adds a numpy struct-of-arrays backend
 stage per array operation while producing byte-identical results —
 same packets, same grants, same meters, same RNG stream consumption.
 
-Backend selection is threaded through ``simulate`` /
-``run_experiment`` / ``parallel_simulate`` / ``repro.perf`` and the
-service job specs; ``--backend`` forces a backend (unsupported
-combinations raise :class:`~repro.errors.ConfigurationError`) while the
-``REPRO_BACKEND`` environment variable states a soft preference that
-falls back to the reference kernel whenever telemetry, the sanitizer,
-checkpointing or an unsupported configuration demands it.
+numpy is the default backend wherever it is exact.  Backend selection
+is threaded through ``simulate`` / ``run_experiment`` /
+``parallel_simulate`` and the service job specs; ``--backend`` forces a
+backend (unsupported combinations raise
+:class:`~repro.errors.ConfigurationError`) while the default, or the
+``REPRO_BACKEND`` environment variable's soft preference, falls back to
+the reference kernel whenever telemetry, the sanitizer, a checkpointed
+``simulate`` call, an unsupported configuration or a failed decode-rule
+probe (:func:`~repro.kernel.arrivals.decode_rules_mismatch`) demands
+it — and :func:`~repro.kernel.base.choose_backend` says which.
 
 The exactness bar is enforced by :mod:`repro.kernel.differential`: a
 lockstep harness steps both backends cycle by cycle, compares packed
@@ -28,6 +31,7 @@ from repro.kernel.base import (
     BACKENDS,
     DEFAULT_BACKEND,
     SimKernel,
+    choose_backend,
     make_kernel,
     normalize_backend,
     numpy_unsupported_reason,
@@ -40,6 +44,7 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "SimKernel",
+    "choose_backend",
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",

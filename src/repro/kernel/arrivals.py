@@ -14,7 +14,8 @@ each source and emits, per source, the arrival schedule
 
 Decoding rules (validated against numpy's implementation; the
 equivalence tests in ``tests/property/test_kernel_equivalence.py`` re-verify
-them on every run):
+them on every run, and :func:`decode_rules_mismatch` re-checks them once
+per process against whatever numpy is installed before the kernel runs):
 
 * ``Generator.random()`` consumes one 64-bit word ``w`` and yields
   ``(w >> 11) * 2.0**-53``; it never touches the bounded-integer cache.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
@@ -42,7 +44,7 @@ from repro.utils.rng import _seed_for
 if TYPE_CHECKING:
     from repro.network.simulator import NetworkConfig
 
-__all__ = ["ArrivalPlan", "decode_arrivals"]
+__all__ = ["ArrivalPlan", "decode_arrivals", "decode_rules_mismatch"]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -96,6 +98,50 @@ class _Cursor:
 
 class _NeedMoreWords(Exception):
     """Raised when the pre-drawn raw words run out mid-decode."""
+
+
+#: The decode-rule probe's draw sequence: ``None`` is one ``random()``,
+#: an integer ``n`` one ``integers(0, n)``.  Doubles between bounded
+#: draws check that ``random()`` leaves the cached high half-word alone;
+#: ``2**31 + 1`` has a Lemire threshold of ``2**31 - 1``, so about half
+#: of its draws are rejected and redrawn.
+_PROBE_DRAWS: tuple[int | None, ...] = (
+    None, 4, 64, None, 8, 2**31 + 1, 2**31 + 1, 16, None, 2**31 + 1,
+    2**31 + 1, 2**31 + 1, 3, None, None, 2**31 + 1, 64, 2**31 + 1, 4, 8,
+) * 3
+
+
+@cache
+def decode_rules_mismatch() -> str | None:
+    """Where this numpy's draws leave the decoding rules (``None``: nowhere).
+
+    Decodes :data:`_PROBE_DRAWS` from the raw PCG64 words with the rules
+    above and makes the same draws through
+    :class:`~repro.utils.rng.RandomStream`, the way the reference
+    simulator makes them.  Cached: a process runs it once, at its first
+    numpy decision, never at import.
+    """
+    import numpy
+
+    from repro.utils.rng import RandomStream
+
+    seed, name = 1988, "kernel/decode-probe"
+    stream = RandomStream(seed, name)
+    cursor = _Cursor(_raw_words(seed, name, 4 * len(_PROBE_DRAWS)).tolist())
+    for index, bound in enumerate(_PROBE_DRAWS):
+        if bound is None:
+            rule, drawn = "random()", stream.random()
+            decoded: float = cursor.double()
+        else:
+            rule, drawn = f"integers(0, {bound})", stream.randint(0, bound)
+            decoded = cursor.bounded(bound, _lemire_threshold(bound))
+        if drawn != decoded:
+            return (
+                f"numpy {numpy.__version__} draws {drawn!r} for {rule} at "
+                f"probe draw {index}, but the kernel's decoding rules give "
+                f"{decoded!r}"
+            )
+    return None
 
 
 @dataclass

@@ -8,14 +8,18 @@ Two kernels built from the same config must produce identical packed
 states after every cycle — that is the contract the differential
 harness (:mod:`repro.kernel.differential`) enforces.
 
-Backend resolution distinguishes a *forced* request (the ``--backend``
-flag, a service job field, an explicit ``backend=`` argument) from a
-*soft* preference (the ``REPRO_BACKEND`` environment variable).  A
-forced request that cannot be honoured — the numpy backend under
-telemetry, the sanitizer, checkpointing, or an unsupported config —
-raises :class:`~repro.errors.ConfigurationError`; a soft preference
-falls back to the reference kernel instead, because those paths are
-implemented only by the reference simulator's instrumented classes.
+The default backend is ``numpy`` wherever it is exact; the reference
+simulator stays the oracle and runs everything else.  Backend
+resolution distinguishes a *forced* request (the ``--backend`` flag, a
+service job field, an explicit ``backend=`` argument) from a *soft*
+preference (the ``REPRO_BACKEND`` environment variable, or the default
+when it is unset).  A forced numpy request that cannot be honoured —
+under telemetry, the sanitizer, checkpointing, on an unsupported config,
+or when this numpy's random draws disagree with the kernel's decoding
+rules (:func:`~repro.kernel.arrivals.decode_rules_mismatch`) — raises
+:class:`~repro.errors.ConfigurationError`; a soft preference falls back
+to the reference kernel instead and names the reason
+(:func:`choose_backend`).
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
     "NUMPY_ARBITER_KINDS",
     "NUMPY_BUFFER_KINDS",
     "SimKernel",
+    "batch_group_key",
+    "choose_backend",
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",
@@ -48,7 +54,8 @@ __all__ = [
 #: Recognized backend names, in preference-listing order.
 BACKENDS = ("reference", "numpy")
 
-DEFAULT_BACKEND = "reference"
+#: The backend a run uses when nothing forces or prefers one.
+DEFAULT_BACKEND = "numpy"
 
 #: Environment variable naming the soft backend preference.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -185,23 +192,40 @@ def numpy_unsupported_reason(config: "NetworkConfig") -> str | None:
     return None
 
 
-def resolve_backend(
+def batch_group_key(config: "NetworkConfig") -> tuple[Any, ...]:
+    """Structural batching key: equal keys may share one numpy kernel.
+
+    Configurations in one batch must agree on everything that shapes the
+    arrays — topology and slot count.  Everything else is a
+    per-simulation property: offered load, seed, arbiter scheme, traffic
+    pattern, protocol, flow-control fidelity and buffer kind (all four
+    kinds share one ring layout) — which is how each of the paper's
+    experiment grids runs as one kernel.
+    """
+    return (config.num_ports, config.radix, config.slots_per_buffer)
+
+
+def choose_backend(
     config: "NetworkConfig",
     backend: str | None = None,
     *,
     sanitize: bool = False,
     trace: bool = False,
     checkpoint: bool = False,
-) -> str:
-    """Pick the backend for one run.
+) -> tuple[str, str | None]:
+    """Pick the backend for one run, and say why numpy was passed over.
 
-    ``backend`` is the forced request (already normalized or raw); when
-    ``None`` the ``REPRO_BACKEND`` preference applies softly.  The
+    Returns ``(backend, fallback)``: ``fallback`` is ``None`` unless a
+    soft numpy preference fell back to the reference kernel, in which
+    case it names the reason.  ``backend`` is the forced request
+    (already normalized or raw); when ``None`` the ``REPRO_BACKEND``
+    preference, else :data:`DEFAULT_BACKEND`, applies softly.  The
     instrumentation flags describe what the caller is about to do:
     telemetry, the sanitizer and checkpointing all live in the
     reference simulator's class hierarchy, so the numpy kernel refuses
     them when forced and yields to the reference kernel when merely
-    preferred.
+    preferred.  The decode-rule probe runs last, only when numpy would
+    otherwise be chosen.
     """
     forced = backend is not None
     requested = (
@@ -210,7 +234,7 @@ def resolve_backend(
         else requested_backend() or DEFAULT_BACKEND
     )
     if requested != "numpy":
-        return requested
+        return requested, None
     reason: str | None = None
     if sanitize:
         reason = "the sanitizer instruments the reference buffer classes"
@@ -222,28 +246,44 @@ def resolve_backend(
         unsupported = numpy_unsupported_reason(config)
         if unsupported is not None:
             reason = f"unsupported configuration: {unsupported}"
+        else:
+            from repro.kernel.arrivals import decode_rules_mismatch
+
+            reason = decode_rules_mismatch()
     if reason is None:
-        return "numpy"
+        return "numpy", None
     if forced:
         raise ConfigurationError(
             f"the numpy backend cannot run this job ({reason}); "
             "drop --backend numpy or disable the conflicting feature"
         )
-    return DEFAULT_BACKEND
+    return "reference", reason
 
 
-def make_kernel(config: "NetworkConfig", backend: str = DEFAULT_BACKEND) -> SimKernel:
-    """Construct a kernel for ``config`` on the named backend."""
-    normalized = normalize_backend(backend)
-    if normalized == "reference":
+def resolve_backend(
+    config: "NetworkConfig",
+    backend: str | None = None,
+    *,
+    sanitize: bool = False,
+    trace: bool = False,
+    checkpoint: bool = False,
+) -> str:
+    """The backend :func:`choose_backend` picks, without the reason."""
+    return choose_backend(
+        config, backend, sanitize=sanitize, trace=trace, checkpoint=checkpoint
+    )[0]
+
+
+def make_kernel(config: "NetworkConfig", backend: str | None = None) -> SimKernel:
+    """Construct a kernel for ``config``.
+
+    ``backend`` forces a backend; ``None`` resolves softly, so configs
+    the numpy kernel cannot run get the reference kernel.
+    """
+    if resolve_backend(config, backend) == "reference":
         from repro.kernel.reference import ReferenceKernel
 
         return ReferenceKernel(config)
-    reason = numpy_unsupported_reason(config)
-    if reason is not None:
-        raise ConfigurationError(
-            f"the numpy backend cannot run this configuration ({reason})"
-        )
     from repro.kernel.numpy_kernel import NumpyKernel
 
     return NumpyKernel(config)

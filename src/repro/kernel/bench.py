@@ -4,10 +4,9 @@ Times both backends end-to-end — kernel construction, arrival-stream
 preparation, the cycle loop and result summarization — on the figure 3
 and table 3 grids, the two experiments whose simulation volume dominates
 the paper pipeline.  The reference backend runs each configuration
-individually (exactly how ``parallel_simulate`` schedules it per
-worker); the numpy backend runs through the same group-by-
-:func:`~repro.kernel.numpy_kernel.batch_group_key` loop
-``parallel_simulate`` dispatches it with, one fused kernel per group.
+individually (one ``parallel_simulate`` task per config); the numpy
+backend runs through ``parallel_simulate`` itself, serially, one fused
+kernel per :func:`~repro.kernel.base.batch_group_key` group.
 
 Two numpy measurements are reported.  The per-grid rows batch within
 one experiment's grid (how a single ``run_experiment`` call dispatches
@@ -108,11 +107,11 @@ def _run_reference(
 def _run_numpy(
     configs: list[NetworkConfig], warmup: int, measure: int
 ) -> tuple[float, list[Any], int]:
-    from repro.kernel.numpy_kernel import batch_group_key
-    from repro.perf.parallel import _numpy_group_simulate
+    from repro.kernel.base import batch_group_key
+    from repro.perf.parallel import parallel_simulate
 
     start = time.perf_counter()  # repro: noqa=REP002 (benchmark harness: timing backends is this module's purpose)
-    results = _numpy_group_simulate(configs, warmup, measure)
+    results = parallel_simulate(configs, warmup, measure, backend="numpy")
     wall = time.perf_counter() - start  # repro: noqa=REP002 (benchmark harness: timing backends is this module's purpose)
     return wall, results, len({batch_group_key(c) for c in configs})
 

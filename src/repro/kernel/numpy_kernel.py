@@ -65,8 +65,16 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernel.arrivals import GAP_SENTINEL, decode_arrivals
-from repro.kernel.base import SimKernel, numpy_unsupported_reason
+from repro.kernel.arrivals import (
+    GAP_SENTINEL,
+    decode_arrivals,
+    decode_rules_mismatch,
+)
+from repro.kernel.base import (
+    SimKernel,
+    batch_group_key,
+    numpy_unsupported_reason,
+)
 from repro.network.metrics import Meters, SimulationResult
 from repro.network.simulator import (
     CYCLE_CLOCKS,
@@ -107,19 +115,6 @@ def _cat(parts: tuple[Any, ...]) -> Any:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def batch_group_key(config: NetworkConfig) -> tuple[Any, ...]:
-    """Structural batching key: equal keys may share one kernel.
-
-    Configurations in one batch must agree on everything that shapes the
-    arrays — topology and slot count.  Everything else is a
-    per-simulation property: offered load, seed, arbiter scheme, traffic
-    pattern, protocol, flow-control fidelity and buffer kind (all four
-    kinds share one ring layout) — which is how each of the paper's
-    experiment grids runs as one kernel.
-    """
-    return (config.num_ports, config.radix, config.slots_per_buffer)
-
-
 class NumpyKernel(SimKernel):
     """Struct-of-arrays simulation kernel (numpy backend)."""
 
@@ -138,6 +133,11 @@ class NumpyKernel(SimKernel):
     def _setup(self, configs: list[NetworkConfig]) -> None:
         if not configs:
             raise ConfigurationError("a kernel batch needs at least one config")
+        mismatch = decode_rules_mismatch()
+        if mismatch is not None:
+            raise ConfigurationError(
+                f"the numpy backend cannot run in this process ({mismatch})"
+            )
         for config in configs:
             reason = numpy_unsupported_reason(config)
             if reason is not None:

@@ -22,6 +22,10 @@ installs the ``map`` of one
 and the simulation service installs its long-lived pool, shared by all
 concurrent jobs.  Without one, the misses run serially in this process,
 free of multiprocessing overhead.  This module never builds a pool.
+
+Both simulation backends go through that one dispatch: a fused numpy
+batch is one task, exactly like one reference simulation, so on a pool
+it gets the same deadline, chaos draws and retries.
 """
 
 from __future__ import annotations
@@ -163,23 +167,37 @@ def parallel_map(
     )
 
 
-def _simulate_task(task: tuple[Any, ...]) -> "SimulationResult":
-    """Pool worker: run one simulation, resumable when checkpointed.
+def _simulate_task(task: tuple[Any, ...]) -> list["SimulationResult"]:
+    """Pool worker: run one task of :func:`parallel_simulate`.
 
-    Accepts ``(config, warmup, measure)`` or the checkpointed form
-    ``(config, warmup, measure, checkpoint_every, checkpoint_path)``.
-    A checkpointed task whose file already exists belonged to a worker
-    that died mid-run: the replacement resumes from the checkpoint — a
-    bit-identical continuation — instead of starting over.  The file is
-    removed once the run completes.
+    A numpy task ``(configs, warmup, measure)`` carries a tuple of
+    structurally identical configs (one :func:`~repro.kernel.base
+    .batch_group_key`) and runs them as one fused struct-of-arrays
+    kernel; it writes no checkpoint, so a retried attempt reruns from
+    cycle 0.  A reference task is ``(config, warmup, measure)`` or the
+    checkpointed ``(config, warmup, measure, checkpoint_every,
+    checkpoint_path)``.  A checkpointed task whose file already exists
+    belonged to a worker that died mid-run: the replacement resumes from
+    the checkpoint — a bit-identical continuation — instead of starting
+    over.  The file is removed once the run completes.  Either way the
+    results come back as a list, in the task's config order.
     """
     # Imported here (cached after the first call) so this module can be
     # imported by repro.network.saturation without a circular import.
     from repro.network.simulator import resume_run, simulate
 
+    if isinstance(task[0], tuple):
+        from repro.kernel.numpy_kernel import NumpyKernel
+
+        configs, warmup_cycles, measure_cycles = task
+        return NumpyKernel.batch(list(configs)).run_batch(
+            warmup_cycles, measure_cycles
+        )
     if len(task) == 3:
         config, warmup_cycles, measure_cycles = task
-        return simulate(config, warmup_cycles, measure_cycles)
+        return [
+            simulate(config, warmup_cycles, measure_cycles, backend="reference")
+        ]
     config, warmup_cycles, measure_cycles, every, path = task
     checkpoint = Path(path)
     if checkpoint.exists():
@@ -191,67 +209,35 @@ def _simulate_task(task: tuple[Any, ...]) -> "SimulationResult":
             measure_cycles,
             checkpoint_every=every,
             checkpoint_path=checkpoint,
+            backend="reference",
         )
     checkpoint.unlink(missing_ok=True)
-    return result
+    return [result]
 
 
-def _resolve_backends(
-    configs: Sequence["NetworkConfig"],
-    backend: str | None,
-    context: runtime.CacheContext | None,
-) -> list[str]:
-    """Per-config backend resolution under the ambient instrumentation.
+def _choose_backends(
+    configs: Sequence["NetworkConfig"], backend: str | None
+) -> list[tuple[str, str | None]]:
+    """Per-config ``(backend, fallback reason)`` under the ambient
+    instrumentation.
 
-    The sanitizer and telemetry are enabled through the environment, and
-    checkpointing through the active cache context — exactly the signals
-    each worker's :func:`~repro.network.simulator.simulate` call would
-    see — so resolving here keeps the dispatch decision and the worker
-    behaviour consistent.
+    The sanitizer and telemetry are enabled through the environment —
+    exactly the signals each worker's
+    :func:`~repro.network.simulator.simulate` call would see — so
+    resolving here keeps the dispatch decision and the worker behaviour
+    consistent.  Checkpointing is no reason to fall back: a numpy batch
+    task is retried from cycle 0 instead.
     """
     from repro.instrument import env_instrumentation
-    from repro.kernel.base import resolve_backend
+    from repro.kernel.base import choose_backend
 
     env = env_instrumentation()
-    checkpointing = context is not None and context.checkpointing
     return [
-        resolve_backend(
-            config,
-            backend,
-            sanitize=env.sanitize,
-            trace=env.tracing,
-            checkpoint=checkpointing,
+        choose_backend(
+            config, backend, sanitize=env.sanitize, trace=env.tracing
         )
         for config in configs
     ]
-
-
-def _numpy_group_simulate(
-    configs: Sequence["NetworkConfig"],
-    warmup_cycles: int,
-    measure_cycles: int,
-) -> list["SimulationResult"]:
-    """Run configs on the numpy backend, fused into batch groups.
-
-    Structurally identical configs (:func:`~repro.kernel.numpy_kernel
-    .batch_group_key`) share one struct-of-arrays kernel, so the whole
-    group advances per cycle with the same array ops — that fusion, not
-    a process pool, is the numpy backend's parallelism.  Results come
-    back in input order, byte-identical to per-config runs.
-    """
-    from repro.kernel.numpy_kernel import NumpyKernel, batch_group_key
-
-    groups: dict[tuple[Any, ...], list[int]] = {}
-    for index, config in enumerate(configs):
-        groups.setdefault(batch_group_key(config), []).append(index)
-    results: list[Any] = [None] * len(configs)
-    for indices in groups.values():
-        kernel = NumpyKernel.batch([configs[i] for i in indices])
-        for index, result in zip(
-            indices, kernel.run_batch(warmup_cycles, measure_cycles)
-        ):
-            results[index] = result
-    return results
 
 
 def parallel_simulate(
@@ -266,20 +252,25 @@ def parallel_simulate(
     run executes it: serially, on the runner's pool or on the service's.
     Under an active cache context, previously computed configs are
     served from the store (and only cache misses count toward
-    :func:`simulated_cycles`); with checkpointing configured, each
-    simulation periodically checkpoints into the context's directory so
-    a dead worker's replacement resumes instead of restarting.
+    :func:`simulated_cycles`).
 
     ``backend`` forces a simulation backend for the whole grid; ``None``
-    honours the ``REPRO_BACKEND`` preference (see
-    :func:`repro.kernel.base.resolve_backend`).  The misses that resolve
-    to the numpy backend are fused into struct-of-arrays batch kernels
-    and run in this process — vectorization replaces the pool — while
-    the rest (unsupported configs under a soft preference, or everything
-    under active instrumentation) go to the executor.  Results are
-    byte-identical either way, so the two routes share one cache
-    namespace: a result computed by either backend is a hit for both.
+    honours the ``REPRO_BACKEND`` preference, else the numpy default,
+    softly (see :func:`repro.kernel.base.choose_backend`).  The misses
+    become one task list for one dispatch: one task per numpy
+    :func:`~repro.kernel.base.batch_group_key` group, fused into a
+    struct-of-arrays kernel, and one task per reference config.  With
+    checkpointing configured, each reference task periodically
+    checkpoints into the context's directory so a dead worker's
+    replacement resumes instead of restarting; a numpy batch has no
+    checkpoint and reruns from cycle 0.  Results are byte-identical
+    either way, so the backends share one cache namespace: a result
+    computed by either is a hit for both.  The active context counts
+    the executed simulations per backend and every fallback reason
+    (:attr:`~repro.cache.runtime.CacheContext.backends`).
     """
+    from repro.kernel.base import batch_group_key
+
     configs = list(configs)
     payloads = [
         {
@@ -294,7 +285,7 @@ def parallel_simulate(
         # The runner's --backend flag arrives ambiently, like the cache:
         # experiments stay backend-oblivious (see CacheContext.backend).
         backend = context.backend
-    backends = _resolve_backends(configs, backend, context)
+    choices = _choose_backends(configs, backend)
     checkpoint: tuple[Any, Path] | None = None
     if context is not None and context.checkpointing:
         # ``checkpointing`` guarantees the directory is set.
@@ -303,13 +294,17 @@ def parallel_simulate(
             cast(Path, context.checkpoint_dir),
         )
 
-    def task(index: int) -> tuple[Any, ...]:
+    def task(indices: list[int]) -> tuple[Any, ...]:
+        first = indices[0]
+        if choices[first][0] == "numpy":
+            batch = tuple(configs[i] for i in indices)
+            return (batch, warmup_cycles, measure_cycles)
         if checkpoint is None:
-            return (configs[index], warmup_cycles, measure_cycles)
+            return (configs[first], warmup_cycles, measure_cycles)
         every, directory = checkpoint
-        stamp = digest_json(payloads[index])
+        stamp = digest_json(payloads[first])
         return (
-            configs[index],
+            configs[first],
             warmup_cycles,
             measure_cycles,
             every,
@@ -317,21 +312,25 @@ def parallel_simulate(
         )
 
     def execute(missed: list[int]) -> list[Any]:
-        fused = [i for i in missed if backends[i] == "numpy"]
-        pooled = [i for i in missed if backends[i] != "numpy"]
+        groups: dict[tuple[Any, ...], list[int]] = {}
+        for i in missed:
+            chosen, fallback = choices[i]
+            key = (
+                ("numpy", *batch_group_key(configs[i]))
+                if chosen == "numpy"
+                else ("reference", i)
+            )
+            groups.setdefault(key, []).append(i)
+            if context is not None:
+                context.backends[chosen] += 1
+                if fallback is not None:
+                    context.fallbacks[fallback] += 1
+        tasks = [task(indices) for indices in groups.values()]
         results: dict[int, Any] = {}
-        if fused:
-            group = [configs[i] for i in fused]
-            results.update(
-                zip(
-                    fused,
-                    _numpy_group_simulate(group, warmup_cycles, measure_cycles),
-                )
-            )
-        if pooled:
-            results.update(
-                zip(pooled, _dispatch(_simulate_task, [task(i) for i in pooled]))
-            )
+        for indices, outputs in zip(
+            groups.values(), _dispatch(_simulate_task, tasks)
+        ):
+            results.update(zip(indices, outputs))
         return [results[i] for i in missed]
 
     return _memoized(

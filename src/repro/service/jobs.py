@@ -37,11 +37,12 @@ class JobSpec:
     """One experiment request: which experiment, at what fidelity, what seed.
 
     ``backend`` optionally forces a simulation backend for the job
-    (``"reference"``/``"numpy"``); ``None`` lets the worker's ambient
-    ``REPRO_BACKEND`` preference apply.  Because both backends produce
-    byte-identical results, the backend is deliberately **excluded**
-    from the spec's canonical payload — a numpy job and a reference job
-    for the same experiment coalesce to one cache entry.
+    (``"reference"``/``"numpy"``); ``None`` lets the server's ambient
+    ``REPRO_BACKEND`` preference, else the numpy default, apply softly.
+    Because both backends produce byte-identical results, the backend
+    is deliberately **excluded** from the spec's canonical payload — a
+    numpy job and a reference job for the same experiment coalesce to
+    one cache entry.
     """
 
     experiment: str
@@ -136,8 +137,14 @@ class JobRecord:
     requests: int = 1
     result: dict[str, Any] | None = None
     error: dict[str, Any] | None = None
-    #: Simulation tasks actually dispatched to the pool (0 on cache hits).
+    #: Dispatcher tasks this job sent to the pool (0 on cache hits).  A
+    #: task is one reference simulation or one fused numpy batch, so a
+    #: batch of many simulations counts once.
     tasks_executed: int = 0
+    #: Simulations the job executed per backend, and each soft-fallback
+    #: reason with its count (the runner's ``ExperimentResult.backends``;
+    #: empty on cache hits and failed jobs).
+    backends: dict[str, dict[str, int]] = field(default_factory=dict)
     job_seconds: float = 0.0
     #: Set once the job reaches a terminal state (done/failed).
     finished: threading.Event = field(default_factory=threading.Event)
@@ -153,6 +160,7 @@ class JobRecord:
         if self.status in ("done", "failed"):
             document["source"] = self.source
             document["tasks_executed"] = self.tasks_executed
+            document["backends"] = self.backends
             document["job_seconds"] = self.job_seconds
         if self.result is not None:
             document["result"] = self.result

@@ -13,9 +13,12 @@ lives:
   the store already holds is answered without simulating, and concurrent
   requests for the same spec *coalesce* onto one in-flight job.
 * **Execution** runs on a :class:`~repro.service.supervisor
-  .SupervisedPool`: each experiment's grid points shard across worker
+  .SupervisedPool`: each experiment's simulation tasks — one per fused
+  numpy batch, one per reference simulation — shard across worker
   processes under heartbeat monitoring, per-attempt deadlines, and
-  bounded, backed-off retries that resume from checkpoints.
+  bounded, backed-off retries.  A reference task resumes from its
+  checkpoint; a numpy batch reruns from cycle 0.  The server process
+  itself runs no simulation.
 * **Failure** is reported, never papered over: every answer is a fresh
   simulation, an exact-key cache hit, or a ``failed`` job whose
   ``error`` names the exception type, message, attempts and resumable
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import tempfile
 import threading
 import time
@@ -387,6 +391,7 @@ class SimulationService:
             record.status = "done"
             record.source = "fresh"
             record.tasks_executed = executed
+            record.backends = result.backends
             record.job_seconds = time.monotonic() - started
             self._count_job("fresh")
         self.metrics.histogram("service_job_seconds").record(
@@ -595,18 +600,21 @@ def serve_in_thread(config: ServiceConfig | None = None) -> ServiceHandle:
 
 
 def serve(config: ServiceConfig | None = None, port_file: str | None = None) -> None:
-    """Run the service in the foreground until interrupted.
+    """Run the service in the foreground until SIGTERM or Ctrl-C.
 
+    Either signal closes the service: the HTTP server stops, and the
+    worker pool's processes are stopped and reaped before this returns.
     ``port_file`` (when given) receives the bound port as text — how a
     parent process discovers a ``port=0`` server, e.g. the CI smoke job.
     """
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda _signum, _frame: stop.set())
     handle = serve_in_thread(config)
     if port_file:
         Path(port_file).write_text(f"{handle.port}\n")
     print(f"repro.service listening on {handle.url}")
     try:
-        while True:
-            time.sleep(3600)
+        stop.wait()
     except KeyboardInterrupt:
         pass
     finally:

@@ -24,8 +24,9 @@ processes under continuous supervision:
   the dead worker's last on-disk checkpoint (the task functions of
   :mod:`repro.perf.parallel` already resume when their checkpoint file
   exists), so a kill costs the cycles since the last checkpoint, not the
-  whole run; an uncheckpointed task reruns from cycle 0, which is safe
-  because every task is a pure function of its seeded config;
+  whole run; an uncheckpointed task (every fused numpy batch is one)
+  reruns from cycle 0, which is safe because every task is a pure
+  function of its seeded configs;
 * a seeded :class:`~repro.service.chaos.ChaosPolicy` can inject worker
   kills per attempt — reproducibly.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import signal
 import threading
 import time
 import traceback
@@ -120,6 +122,9 @@ def _worker_main(
     interval: float,
 ) -> None:
     """Worker process body: beat, take a task, run it, post the outcome."""
+    # A forked worker inherits the server's SIGTERM handler; a worker
+    # must die of SIGTERM like any other process.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     stop_beating = threading.Event()
 
     def _beat() -> None:

@@ -16,6 +16,10 @@ Three end-to-end properties, checked on a real experiment:
    replacement resumes from the file, and the one invocation exits 0,
    prints the reference report and leaves no checkpoint behind.
 
+Every run pins the reference backend: checkpoint/resume belongs to the
+reference simulator, while a numpy batch writes no checkpoint and is
+retried from cycle 0 instead.
+
 Usage::
 
     PYTHONPATH=src python tests/cache_smoke.py [experiment]
@@ -35,6 +39,9 @@ import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: The backend every run of this smoke pins (see the module docstring).
+BACKEND = "reference"
 
 #: Checkpoint cadence and kill cycle for the quick windows (200 warmup +
 #: 900 measure): cycle 500 is the second checkpoint, mid-simulation.
@@ -81,9 +88,9 @@ def check_warm_cache(experiment: str, scratch: Path) -> None:
     from repro.perf.parallel import reset_simulated_cycles, simulated_cycles
 
     cache = ResultCache(scratch / "cache")
-    cold = run_experiment(experiment, quick=True, cache=cache)
+    cold = run_experiment(experiment, quick=True, cache=cache, backend=BACKEND)
     reset_simulated_cycles()
-    warm = run_experiment(experiment, quick=True, cache=cache)
+    warm = run_experiment(experiment, quick=True, cache=cache, backend=BACKEND)
     if simulated_cycles() != 0:
         fail(
             f"warm re-run of {experiment} simulated "
@@ -104,6 +111,8 @@ def checkpointed_arguments(experiment: str, cache_dir: Path) -> list[str]:
         str(cache_dir),
         "--checkpoint-every",
         str(CHECKPOINT_EVERY),
+        "--backend",
+        BACKEND,
     ]
 
 
@@ -163,7 +172,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as tmp:
         scratch = Path(tmp)
         check_warm_cache(experiment, scratch)
-        reference = run_cli([experiment, "--quick"], cli_env())
+        reference = run_cli(
+            [experiment, "--quick", "--backend", BACKEND], cli_env()
+        )
         if reference.returncode != 0:
             fail(f"reference run failed:\n{reference.stderr}")
         expected = report_of(reference.stdout)

@@ -122,7 +122,7 @@ GRID = [
 def test_checkpointed_parallel_run_matches_plain(tmp_path):
     reference = [simulate(config, WARMUP, MEASURE) for config in GRID]
     results = run_as_experiment(
-        lambda: parallel_simulate(GRID, WARMUP, MEASURE),
+        lambda: parallel_simulate(GRID, WARMUP, MEASURE, backend="reference"),
         "ckpt-test",
         jobs=2,
         checkpoint_every=EVERY,
@@ -144,7 +144,9 @@ def test_dead_workers_auto_resume_from_checkpoints(tmp_path, monkeypatch):
     )
 
     def grid():
-        return parallel_simulate(GRID, WARMUP, MEASURE)
+        # Checkpoint/resume is the reference simulator's; a numpy batch
+        # reruns from cycle 0 (test_service's numpy worker-death test).
+        return parallel_simulate(GRID, WARMUP, MEASURE, backend="reference")
 
     # Every worker kills itself at its first KILL_AT checkpoint; its
     # replacement resumes the task from the dead worker's file

@@ -8,6 +8,12 @@ checkpoints — must produce a report byte-identical to the plain serial
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 import repro.experiments.runner as runner
@@ -241,9 +247,85 @@ class TestChaosByteIdentity:
             )
         ) as live:
             client = ServiceClient(live.url)
-            status, document = client.submit("table6", wait=True)
+            # Only reference tasks checkpoint, so pin the backend.
+            status, document = client.submit(
+                "table6", wait=True, backend="reference"
+            )
             assert status == 200, document
             assert document["result"]["report"] == serial
             pool_stats = client.stats()["pool"]
             assert pool_stats["worker_restarts"] >= 1
             assert pool_stats["tasks_retried"] >= 1
+
+    def test_killed_numpy_batch_reruns_from_cycle_zero(self, tmp_path):
+        """A numpy batch is one supervised task with no checkpoint: a
+        killed attempt is retried from cycle 0, and the job document
+        says its simulations ran on numpy."""
+        serial = run_experiment("figure3", quick=True).render()
+        chaos = ChaosPolicy(kill_probability=1.0, max_injections_per_task=2)
+        with serve_in_thread(
+            ServiceConfig(
+                port=0,
+                workers=2,
+                chaos=chaos,
+                checkpoint_every=100,
+                data_dir=tmp_path,
+            )
+        ) as live:
+            client = ServiceClient(live.url)
+            status, document = client.submit("figure3", wait=True)
+            assert status == 200, document
+            assert document["result"]["report"] == serial
+            # Quick figure3 is one batch of ten simulations: one task.
+            assert document["tasks_executed"] == 1
+            assert document["backends"] == {
+                "simulations": {"numpy": 10},
+                "fallbacks": {},
+            }
+            pool_stats = client.stats()["pool"]
+            assert pool_stats["tasks_retried"] >= 1
+            assert pool_stats["worker_restarts"] >= 1
+            status, cached = client.submit("figure3", wait=True)
+            assert cached["cache_hit"] is True
+            assert cached["backends"] == {}
+        assert list(tmp_path.glob("**/*.ckpt")) == []
+
+
+class TestShutdown:
+    def test_sigterm_closes_the_server_and_its_workers(self, tmp_path):
+        from tests.service_smoke import child_pids, stop_server
+
+        port_file = tmp_path / "port"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.service",
+                "serve",
+                "--port",
+                "0",
+                "--port-file",
+                str(port_file),
+                "--workers",
+                "2",
+                "--data-dir",
+                str(tmp_path / "data"),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert process.poll() is None, "server exited before binding"
+                assert time.monotonic() < deadline, "server never bound"
+                time.sleep(0.05)
+            assert len(child_pids(process.pid)) == 2
+            assert stop_server(process) is None
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()

@@ -4,11 +4,14 @@ selection policy and the reasons a config stays off the numpy kernel.
 
 import pytest
 
+from repro.cache.runtime import CacheContext, activate
 from repro.errors import ConfigurationError
+from repro.kernel import arrivals
 from repro.kernel.base import (
     BACKEND_ENV,
     BACKENDS,
     DEFAULT_BACKEND,
+    choose_backend,
     make_kernel,
     normalize_backend,
     numpy_unsupported_reason,
@@ -50,9 +53,25 @@ class TestRequestedBackend:
 
 
 class TestResolveBackend:
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(NetworkConfig(**QUICK)) == DEFAULT_BACKEND
+        assert DEFAULT_BACKEND == "numpy"
+        assert choose_backend(NetworkConfig(**QUICK)) == ("numpy", None)
+
+    def test_default_falls_back_to_reference_with_the_reason(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        config = NetworkConfig(packet_loss_rate=0.01, **QUICK)
+        backend, reason = choose_backend(config)
+        assert backend == "reference"
+        assert "packet loss" in reason
+        assert choose_backend(config, sanitize=True)[1].startswith(
+            "the sanitizer"
+        )
+        # A reference preference is not a fallback.
+        monkeypatch.setenv(BACKEND_ENV, "reference")
+        assert choose_backend(config) == ("reference", None)
 
     def test_env_preference_applies_softly(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy")
@@ -190,6 +209,12 @@ class TestMakeKernel:
         with pytest.raises(ConfigurationError):
             make_kernel(NetworkConfig(packet_size=2, **QUICK), "numpy")
 
+    def test_default_backend_is_soft(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        assert make_kernel(NetworkConfig(**QUICK)).name == "numpy"
+        unsupported = NetworkConfig(packet_size=2, **QUICK)
+        assert make_kernel(unsupported).name == "reference"
+
     def test_state_digest_is_deterministic(self):
         config = NetworkConfig(**QUICK)
         first = make_kernel(config, "reference")
@@ -198,3 +223,55 @@ class TestMakeKernel:
             first.step()
             second.step()
         assert first.state_digest() == second.state_digest()
+
+
+class TestDecodeRuleProbe:
+    """The numpy kernel replays numpy's private draw decoding; a cached
+    probe checks those rules against the installed numpy first."""
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        # Drop Lemire rejection: a 2**31 + 1 draw that numpy rejects and
+        # redraws now decodes to the rejected value instead.
+        monkeypatch.setattr(arrivals, "_lemire_threshold", lambda n: 0)
+        arrivals.decode_rules_mismatch.cache_clear()
+        yield
+        arrivals.decode_rules_mismatch.cache_clear()
+
+    def test_installed_numpy_matches_the_rules(self):
+        assert arrivals.decode_rules_mismatch() is None
+
+    def test_mismatch_names_the_rule(self, planted):
+        reason = arrivals.decode_rules_mismatch()
+        assert reason is not None
+        assert "integers(0, 2147483649)" in reason
+
+    def test_forced_numpy_raises_on_mismatch(self, planted):
+        config = NetworkConfig(**QUICK)
+        with pytest.raises(ConfigurationError, match="decoding rules"):
+            resolve_backend(config, "numpy")
+        with pytest.raises(ConfigurationError, match="decoding rules"):
+            make_kernel(config, "numpy")
+        from repro.kernel.numpy_kernel import NumpyKernel
+
+        with pytest.raises(ConfigurationError, match="decoding rules"):
+            NumpyKernel(config)
+
+    def test_soft_default_falls_back_and_records_the_reason(
+        self, planted, monkeypatch
+    ):
+        from repro.network.simulator import simulate
+        from repro.perf.parallel import parallel_simulate
+
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        config = NetworkConfig(**QUICK)
+        backend, reason = choose_backend(config)
+        assert backend == "reference"
+        assert "decoding rules" in reason
+        context = CacheContext(None, "probe-test")
+        with activate(context):
+            [result] = parallel_simulate([config], 20, 60)
+        assert context.backends == {"reference": 1}
+        assert list(context.fallbacks) == [reason]
+        direct = simulate(config, 20, 60, backend="reference")
+        assert result.to_state() == direct.to_state()

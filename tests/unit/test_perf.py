@@ -79,6 +79,39 @@ class TestParallelSimulate:
             fingerprint(r) for r in parallel
         ]
 
+    def test_one_dispatch_with_one_task_per_numpy_batch(self):
+        """Every miss goes through one dispatch: one task per numpy
+        batch group, one per reference config, results in input order."""
+        from repro.cache.runtime import CacheContext, activate
+        from repro.network.simulator import simulate
+
+        wide = NetworkConfig(num_ports=16, radix=4, slots_per_buffer=8)
+        zoo = NetworkConfig(
+            num_ports=16, radix=4, slots_per_buffer=8, buffer_kind="CQ"
+        )
+        configs = [GRID[0], wide, zoo, GRID[1], zoo, GRID[2]]
+        calls = []
+
+        def dispatcher(fn, items):
+            calls.append(items)
+            return [fn(item) for item in items]
+
+        context = CacheContext(None, "dispatch-test", dispatcher=dispatcher)
+        with activate(context):
+            results = parallel_simulate(configs, 50, 150)
+        assert len(calls) == 1
+        # GRID's three configs share one batch; ``wide`` is its own
+        # batch; each CQ config is a reference task.
+        batches = [task[0] for task in calls[0] if isinstance(task[0], tuple)]
+        assert sorted(len(batch) for batch in batches) == [1, 3]
+        assert len(calls[0]) == len(batches) + 2
+        assert context.backends == {"numpy": 4, "reference": 2}
+        assert all("'CQ'" in reason for reason in context.fallbacks)
+        assert [fingerprint(r) for r in results] == [
+            fingerprint(simulate(config, 50, 150, backend="reference"))
+            for config in configs
+        ]
+
     def test_cycle_accounting(self):
         reset_simulated_cycles()
         parallel_simulate(GRID, 100, 400)
