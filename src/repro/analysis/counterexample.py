@@ -23,8 +23,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.properties import PropertyViolation, Violation
-from repro.core.buffer import SwitchBuffer
-from repro.core.packet import Packet
 from repro.errors import ConfigurationError, ReproError
 
 __all__ = ["Counterexample"]
@@ -176,14 +174,17 @@ if __name__ == "__main__":
     ) -> dict[str, Path]:
         """Export the trace's datapath activity via ``repro.telemetry``.
 
-        Mechanically replays the pushes/pops/retirements of the action
-        sequence on telemetry-adopted buffers (one simulated cycle per
-        action) and writes ``<basename>.vcd`` plus
-        ``<basename>.trace.json`` into ``directory``.  Returns the two
-        paths.  The replay is best-effort datapath driving — property
-        checking happens in :meth:`replay`, not here — so an operation
-        the hardware refuses simply ends the recording at that action.
+        Replays the action sequence through the rebuilt system's own
+        ``initial``/``apply`` (one simulated cycle per action) with its
+        datapath observed by a trace session, and writes
+        ``<basename>.vcd`` plus ``<basename>.trace.json`` into
+        ``directory``.  Returns the two paths.  The recording ends at
+        the first action that raises — the violation itself, or an
+        operation the hardware refuses — and keeps what that action did
+        before it raised.
         """
+        # Imported here: model.py imports this module at load time.
+        from repro.analysis.model import build_system
         from repro.telemetry import (
             TraceSession,
             write_chrome_trace,
@@ -193,80 +194,18 @@ if __name__ == "__main__":
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         session = TraceSession()
-        buffers = self._build_traced(session)
-        next_id = 0
-        for step, action in enumerate(self.actions):
-            session.on_cycle(step)
-            try:
-                next_id = self._drive(buffers, action, next_id)
-            except ReproError:
-                break
+        system = build_system(self.config)
+        system.observe_datapath(session)
+        try:
+            _key, payload = system.initial()
+            for step, action in enumerate(self.actions):
+                session.on_cycle(step)
+                _key, payload = system.apply(payload, action)
+        except (PropertyViolation, ReproError):
+            pass
         events = list(session.ring.events())
         vcd_path = write_vcd(events, target / f"{basename}.vcd")
         chrome_path = write_chrome_trace(
             events, target / f"{basename}.trace.json"
         )
         return {"vcd": vcd_path, "chrome": chrome_path}
-
-    def _build_traced(self, session: Any) -> list[SwitchBuffer]:
-        """The rebuilt system's datapath, adopted by ``session``."""
-        from repro.analysis.model import build_system
-        from repro.instrument import observe
-
-        return [
-            observe(buffer, session, label)
-            for label, buffer in build_system(self.config).datapath()
-        ]
-
-    def _drive(
-        self,
-        buffers: list[SwitchBuffer],
-        action: tuple[Any, ...],
-        next_id: int,
-    ) -> int:
-        system = self.config.get("system")
-        name = action[0]
-        if system == "switch":
-            if name == "arbitrate":
-                return next_id
-            if name != "cycle":
-                raise ConfigurationError(f"unknown action {action!r}")
-            served = action[1]
-            combo = action[2]
-            for input_port, output_port in served:
-                buffers[input_port].pop(output_port)
-            for input_port, destination in enumerate(combo):
-                if destination is None:
-                    continue
-                if buffers[input_port].can_accept(destination):
-                    buffers[input_port].push(
-                        Packet(
-                            packet_id=next_id,
-                            source=input_port,
-                            destination=destination,
-                        ),
-                        destination,
-                    )
-                    next_id += 1
-            return next_id
-        # Single-buffer and lockstep-pair systems share an action shape.
-        if name == "arrive":
-            destination = int(action[1])
-            packet = Packet(
-                packet_id=next_id, source=0, destination=destination
-            )
-            for buffer in buffers:
-                if buffer.can_accept(destination):
-                    buffer.push(packet, destination)
-            return next_id + 1
-        if name == "depart":
-            destination = int(action[1])
-            for buffer in buffers:
-                if buffer.peek(destination) is not None:
-                    buffer.pop(destination)
-            return next_id
-        if name == "retire":
-            for buffer in buffers:
-                buffer.retire_slot()
-            return next_id
-        raise ConfigurationError(f"unknown action {action!r}")

@@ -144,6 +144,20 @@ class TransitionSystem(ABC):
         # Scratch instances, re-restored from snapshots per action.
         return self.fresh_buffers()
 
+    def observe_datapath(self, observer: Any) -> None:
+        """Attach ``observer`` to the buffers :meth:`apply` drives,
+        under their :meth:`datapath` labels.
+
+        Restoring a snapshot emits no trace event, so an observed replay
+        records exactly the pushes, pops and retirements of each action.
+        """
+        # Imported here: the instrumentation layer loads the simulator.
+        from repro.instrument import observe
+
+        labels = [label for label, _buffer in self.datapath()]
+        for label, buffer in zip(labels, self._scratch):
+            observe(buffer, observer, label)
+
     def _restore(
         self, snapshots: Sequence[dict[str, Any]]
     ) -> list[SwitchBuffer]:

@@ -57,10 +57,9 @@ class CacheContext:
         concurrent jobs.
     backend:
         Forced simulation backend (``"reference"``/``"numpy"``) applied
-        to every grid the experiment fans out, or ``None`` to honour
-        the ambient ``REPRO_BACKEND`` preference, else the numpy
-        default, softly.  Ambient for the same reason the cache is: the
-        figure/table code stays backend-oblivious.
+        to every grid the experiment fans out, or ``None`` for the
+        numpy default, applied softly.  Ambient for the same reason the
+        cache is: the figure/table code stays backend-oblivious.
 
     Attributes
     ----------

@@ -64,9 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="force the simulation backend for every grid (results are "
         "byte-identical; numpy fuses each grid into vectorized batch "
-        "kernels).  Unset, the REPRO_BACKEND environment variable, else "
-        "numpy, applies as a soft preference that falls back to the "
-        "reference simulator where numpy is not exact",
+        "kernels).  Unset, numpy applies as a soft preference that "
+        "falls back to the reference simulator where numpy is not exact",
     )
     parser.add_argument(
         "--csv-dir",

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentResult, sim_cycles
-from repro.network import NetworkConfig, measure_saturation_grid
+from repro.network import NetworkConfig
+from repro.network.saturation import SATURATION_LOAD, latency_throughput_curves
 from repro.switch.flow_control import Protocol
 from repro.utils.tables import TextTable, format_value
 
@@ -57,18 +58,19 @@ def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     )
     data: dict[tuple[str, int], float] = {}
     grid = [(kind, radix) for kind in _KIND_ORDER for radix in radices]
-    saturations = measure_saturation_grid(
+    curves = latency_throughput_curves(
         [
             base.with_overrides(
                 buffer_kind=kind, radix=radix, slots_per_buffer=2 * radix
             )
             for kind, radix in grid
         ],
+        [SATURATION_LOAD],
         warmup,
         measure,
     )
-    for (kind, radix), saturation in zip(grid, saturations):
-        data[(kind, radix)] = saturation.saturation_throughput
+    for (kind, radix), (saturation,) in zip(grid, curves):
+        data[(kind, radix)] = saturation.delivered_throughput
     for kind in _KIND_ORDER:
         table.add_row(
             [kind]

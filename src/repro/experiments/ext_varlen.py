@@ -11,7 +11,8 @@ the fixed-length baseline.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentResult, sim_cycles
-from repro.network import NetworkConfig, measure_saturation_grid
+from repro.network import NetworkConfig
+from repro.network.saturation import SATURATION_LOAD, latency_throughput_curves
 from repro.switch.flow_control import Protocol
 from repro.utils.tables import TextTable, format_value
 
@@ -58,22 +59,36 @@ def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     )
     data: dict[str, dict[str, float]] = {}
     mean_size = 1.5  # uniform on {1, 2}
-    fixed_sats = measure_saturation_grid(
-        [base.with_overrides(buffer_kind=kind) for kind in _KIND_ORDER],
-        warmup, measure,
+    # One grid of three rows per kind: fixed sizes, variable sizes, and
+    # variable sizes with store-and-forward link serialization (a size-s
+    # packet holds its link for s cycles) — the physically grounded
+    # variant of the second table.
+    variants = {
+        "fixed": {},
+        "variable": {"packet_size_max": 2},
+        "serialized": {"packet_size_max": 2, "serialize_links": True},
+    }
+    curves = iter(
+        latency_throughput_curves(
+            [
+                base.with_overrides(buffer_kind=kind, **overrides)
+                for overrides in variants.values()
+                for kind in _KIND_ORDER
+            ],
+            [SATURATION_LOAD],
+            warmup,
+            measure,
+        )
     )
-    variable_sats = measure_saturation_grid(
-        [
-            base.with_overrides(buffer_kind=kind, packet_size_max=2)
-            for kind in _KIND_ORDER
-        ],
-        warmup, measure,
-    )
-    for kind, fixed_sat, variable_sat in zip(
-        _KIND_ORDER, fixed_sats, variable_sats
-    ):
-        fixed = fixed_sat.saturation_throughput
-        variable = variable_sat.saturation_throughput
+    saturation = {
+        variant: {
+            kind: next(curves)[0].delivered_throughput for kind in _KIND_ORDER
+        }
+        for variant in variants
+    }
+    for kind in _KIND_ORDER:
+        fixed = saturation["fixed"][kind]
+        variable = saturation["variable"][kind]
         data[kind] = {
             "fixed": fixed,
             "variable": variable,
@@ -103,27 +118,13 @@ def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
         "free slots."
     )
 
-    # Second table: the same variable mix with store-and-forward link
-    # serialization (a size-s packet holds its link for s cycles) — the
-    # physically grounded variant.
     serialized = TextTable(
         "Variable sizes with link serialization "
         "(saturation, packets/cycle/port)",
         ["Buffer", "saturation", "slot units"],
     )
-    serial_data: dict[str, float] = {}
-    serialized_sats = measure_saturation_grid(
-        [
-            base.with_overrides(
-                buffer_kind=kind, packet_size_max=2, serialize_links=True
-            )
-            for kind in _KIND_ORDER
-        ],
-        warmup, measure,
-    )
-    for kind, saturation in zip(_KIND_ORDER, serialized_sats):
-        value = saturation.saturation_throughput
-        serial_data[kind] = value
+    serial_data = saturation["serialized"]
+    for kind, value in serial_data.items():
         serialized.add_row(
             [kind, format_value(value, 3), format_value(value * mean_size, 3)]
         )

@@ -141,11 +141,11 @@ def run_experiment(
     all its concurrent jobs share one set of workers.
 
     ``backend`` forces a simulation backend for every grid the
-    experiment fans out (``"reference"`` or ``"numpy"``); ``None``
-    honours the ``REPRO_BACKEND`` preference, else runs numpy wherever
-    it is exact.  Results are byte-identical across backends — a forced
-    numpy request merely raises :class:`ConfigurationError` when
-    combined with a feature the vectorized kernel does not implement.
+    experiment fans out (``"reference"`` or ``"numpy"``); ``None`` runs
+    numpy wherever it is exact.  Results are byte-identical across
+    backends — a forced numpy request merely raises
+    :class:`ConfigurationError` when combined with a feature the
+    vectorized kernel does not implement.
     The result's ``backends`` says which backend ran each executed
     simulation and why any fell back.
     """

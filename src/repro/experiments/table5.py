@@ -10,8 +10,8 @@ beats buffer capacity.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentResult, sim_cycles
-from repro.network import NetworkConfig, measure_saturation_grid
-from repro.perf import parallel_simulate
+from repro.network import NetworkConfig
+from repro.network.saturation import SATURATION_LOAD, latency_throughput_curves
 from repro.switch.flow_control import Protocol
 from repro.utils.tables import TextTable, format_value
 
@@ -51,36 +51,30 @@ def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
     )
     data: dict[tuple[str, int], dict] = {}
     cells = [(kind, slots) for kind in _KIND_ORDER for slots in slot_counts]
-    configs = [
-        base.with_overrides(buffer_kind=kind, slots_per_buffer=slots)
-        for kind, slots in cells
-    ]
-    sims_25 = parallel_simulate(
-        [config.with_overrides(offered_load=0.25) for config in configs],
-        warmup, measure,
+    curves = latency_throughput_curves(
+        [
+            base.with_overrides(buffer_kind=kind, slots_per_buffer=slots)
+            for kind, slots in cells
+        ],
+        [0.25, 0.50, SATURATION_LOAD],
+        warmup,
+        measure,
     )
-    sims_50 = parallel_simulate(
-        [config.with_overrides(offered_load=0.50) for config in configs],
-        warmup, measure,
-    )
-    saturations = measure_saturation_grid(configs, warmup, measure)
-    for (kind, slots), sim_25, sim_50, saturation in zip(
-        cells, sims_25, sims_50, saturations
-    ):
+    for (kind, slots), (at_25, at_50, saturation) in zip(cells, curves):
         data[(kind, slots)] = {
-            "lat_25": sim_25.average_latency,
-            "lat_50": sim_50.average_latency,
-            "saturated_latency": saturation.saturated_latency,
-            "saturation_throughput": saturation.saturation_throughput,
+            "lat_25": at_25.average_latency,
+            "lat_50": at_50.average_latency,
+            "saturated_latency": saturation.average_latency,
+            "saturation_throughput": saturation.delivered_throughput,
         }
         table.add_row(
             [
                 kind,
                 slots,
-                format_value(sim_25.average_latency, 1),
-                format_value(sim_50.average_latency, 1),
-                format_value(saturation.saturated_latency, 1),
-                format_value(saturation.saturation_throughput, 2),
+                format_value(at_25.average_latency, 1),
+                format_value(at_50.average_latency, 1),
+                format_value(saturation.average_latency, 1),
+                format_value(saturation.delivered_throughput, 2),
             ]
         )
     result.tables.append(table)

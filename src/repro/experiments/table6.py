@@ -11,8 +11,8 @@ RP3's separate combining network.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentResult, sim_cycles
-from repro.network import NetworkConfig, measure_saturation_grid
-from repro.perf import parallel_simulate
+from repro.network import NetworkConfig
+from repro.network.saturation import SATURATION_LOAD, latency_throughput_curves
 from repro.switch.flow_control import Protocol
 from repro.utils.tables import TextTable, format_value
 
@@ -51,36 +51,28 @@ def run(quick: bool = False, seed: int = 1988) -> ExperimentResult:
         seed=seed,
     )
     data: dict[str, dict] = {}
-    grid = [(kind, load) for kind in _KIND_ORDER for load in loads]
-    sims = parallel_simulate(
-        [
-            base.with_overrides(buffer_kind=kind, offered_load=load)
-            for kind, load in grid
-        ],
-        warmup,
-        measure,
-    )
-    latencies_by_kind: dict[str, dict] = {kind: {} for kind in _KIND_ORDER}
-    for (kind, load), sim in zip(grid, sims):
-        latencies_by_kind[kind][load] = sim.average_latency
-    saturations = measure_saturation_grid(
+    # One grid: each kind's sub-saturation loads, then its saturation.
+    curves = latency_throughput_curves(
         [base.with_overrides(buffer_kind=kind) for kind in _KIND_ORDER],
+        [*loads, SATURATION_LOAD],
         warmup,
         measure,
     )
-    for kind, saturation in zip(_KIND_ORDER, saturations):
-        latencies = latencies_by_kind[kind]
+    for kind, (*points, saturation) in zip(_KIND_ORDER, curves):
+        latencies = {
+            point.offered_load: point.average_latency for point in points
+        }
         data[kind] = {
             "latencies": latencies,
-            "saturation_throughput": saturation.saturation_throughput,
-            "saturated_latency": saturation.saturated_latency,
+            "saturation_throughput": saturation.delivered_throughput,
+            "saturated_latency": saturation.average_latency,
         }
         table.add_row(
             [kind]
             + [format_value(latencies[load], 2) for load in loads]
             + [
-                format_value(saturation.saturated_latency, 2),
-                format_value(saturation.saturation_throughput, 2),
+                format_value(saturation.average_latency, 2),
+                format_value(saturation.delivered_throughput, 2),
             ]
         )
     result.tables.append(table)

@@ -13,9 +13,8 @@ numpy is the default backend wherever it is exact.  Backend selection
 is threaded through ``simulate`` / ``run_experiment`` /
 ``parallel_simulate`` and the service job specs; ``--backend`` forces a
 backend (unsupported combinations raise
-:class:`~repro.errors.ConfigurationError`) while the default, or the
-``REPRO_BACKEND`` environment variable's soft preference, falls back to
-the reference kernel whenever telemetry, the sanitizer, a checkpointed
+:class:`~repro.errors.ConfigurationError`) while the soft default falls
+back to the reference kernel whenever telemetry, the sanitizer, a checkpointed
 ``simulate`` call, an unsupported configuration or a failed decode-rule
 probe (:func:`~repro.kernel.arrivals.decode_rules_mismatch`) demands
 it — and :func:`~repro.kernel.base.choose_backend` says which.
@@ -27,7 +26,6 @@ state digests, and renders the first divergence as a replayable
 """
 
 from repro.kernel.base import (
-    BACKEND_ENV,
     BACKENDS,
     DEFAULT_BACKEND,
     SimKernel,
@@ -35,12 +33,10 @@ from repro.kernel.base import (
     make_kernel,
     normalize_backend,
     numpy_unsupported_reason,
-    requested_backend,
     resolve_backend,
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "SimKernel",
@@ -48,6 +44,5 @@ __all__ = [
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",
-    "requested_backend",
     "resolve_backend",
 ]

@@ -11,20 +11,19 @@ harness (:mod:`repro.kernel.differential`) enforces.
 The default backend is ``numpy`` wherever it is exact; the reference
 simulator stays the oracle and runs everything else.  Backend
 resolution distinguishes a *forced* request (the ``--backend`` flag, a
-service job field, an explicit ``backend=`` argument) from a *soft*
-preference (the ``REPRO_BACKEND`` environment variable, or the default
-when it is unset).  A forced numpy request that cannot be honoured —
-under telemetry, the sanitizer, checkpointing, on an unsupported config,
-or when this numpy's random draws disagree with the kernel's decoding
-rules (:func:`~repro.kernel.arrivals.decode_rules_mismatch`) — raises
-:class:`~repro.errors.ConfigurationError`; a soft preference falls back
+service job field, an explicit ``backend=`` argument) from the *soft*
+default that applies when nothing forces a backend.  A forced numpy
+request that cannot be honoured — under telemetry, the sanitizer,
+checkpointing, on an unsupported config, or when this numpy's random
+draws disagree with the kernel's decoding rules
+(:func:`~repro.kernel.arrivals.decode_rules_mismatch`) — raises
+:class:`~repro.errors.ConfigurationError`; the soft default falls back
 to the reference kernel instead and names the reason
 (:func:`choose_backend`).
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
@@ -36,7 +35,6 @@ if TYPE_CHECKING:
     from repro.network.simulator import NetworkConfig
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "NUMPY_ARBITER_KINDS",
@@ -47,18 +45,14 @@ __all__ = [
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",
-    "requested_backend",
     "resolve_backend",
 ]
 
 #: Recognized backend names, in preference-listing order.
 BACKENDS = ("reference", "numpy")
 
-#: The backend a run uses when nothing forces or prefers one.
+#: The backend a run prefers, softly, when nothing forces one.
 DEFAULT_BACKEND = "numpy"
-
-#: Environment variable naming the soft backend preference.
-BACKEND_ENV = "REPRO_BACKEND"
 
 #: The configurations the vectorized kernel implements: the paper's four
 #: buffer architectures under its two arbiters.  The ``repro.arch`` zoo
@@ -150,14 +144,6 @@ def normalize_backend(name: str) -> str:
     return normalized
 
 
-def requested_backend() -> str | None:
-    """The soft backend preference from ``REPRO_BACKEND`` (or ``None``)."""
-    value = os.environ.get(BACKEND_ENV, "")
-    if value in ("", "0"):
-        return None
-    return normalize_backend(value)
-
-
 def numpy_unsupported_reason(config: "NetworkConfig") -> str | None:
     """Why the numpy kernel cannot run ``config`` (``None`` if it can).
 
@@ -218,20 +204,17 @@ def choose_backend(
     Returns ``(backend, fallback)``: ``fallback`` is ``None`` unless a
     soft numpy preference fell back to the reference kernel, in which
     case it names the reason.  ``backend`` is the forced request
-    (already normalized or raw); when ``None`` the ``REPRO_BACKEND``
-    preference, else :data:`DEFAULT_BACKEND`, applies softly.  The
-    instrumentation flags describe what the caller is about to do:
-    telemetry, the sanitizer and checkpointing all live in the
-    reference simulator's class hierarchy, so the numpy kernel refuses
-    them when forced and yields to the reference kernel when merely
-    preferred.  The decode-rule probe runs last, only when numpy would
+    (already normalized or raw); when ``None``, :data:`DEFAULT_BACKEND`
+    applies softly.  The instrumentation flags describe what the caller
+    is about to do: telemetry, the sanitizer and checkpointing all live
+    in the reference simulator's class hierarchy, so the numpy kernel
+    refuses them when forced and yields to the reference kernel when
+    merely preferred.  The decode-rule probe runs last, only when numpy would
     otherwise be chosen.
     """
     forced = backend is not None
     requested = (
-        normalize_backend(backend)
-        if backend is not None
-        else requested_backend() or DEFAULT_BACKEND
+        normalize_backend(backend) if backend is not None else DEFAULT_BACKEND
     )
     if requested != "numpy":
         return requested, None

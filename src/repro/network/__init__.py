@@ -6,7 +6,6 @@ from repro.network.saturation import (
     SaturationResult,
     latency_throughput_curve,
     measure_saturation,
-    measure_saturation_grid,
 )
 from repro.network.simulator import (
     NetworkConfig,
@@ -41,6 +40,5 @@ __all__ = [
     "latency_throughput_curve",
     "make_traffic",
     "measure_saturation",
-    "measure_saturation_grid",
     "simulate",
 ]

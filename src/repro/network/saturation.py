@@ -9,7 +9,10 @@ With blocking flow control and generators that stall behind a finite
 injection queue, the delivered throughput is self-limiting: offering a
 load of 1.0 measures the network's maximum sustainable (saturation)
 throughput directly, and the latency observed there is the "saturated"
-latency the paper tabulates.
+latency the paper tabulates.  A saturation point is therefore just the
+:data:`SATURATION_LOAD` point of a latency/throughput sweep: an experiment
+appends that load to its sub-saturation loads and submits every row of
+its table as one grid through :func:`latency_throughput_curves`.
 """
 
 from __future__ import annotations
@@ -22,13 +25,18 @@ from repro.network.simulator import NetworkConfig
 from repro.perf.parallel import parallel_simulate
 
 __all__ = [
+    "SATURATION_LOAD",
     "SaturationResult",
     "CurvePoint",
     "measure_saturation",
-    "measure_saturation_grid",
     "latency_throughput_curve",
     "latency_throughput_curves",
 ]
+
+
+#: Offered load whose curve point is the saturation point: the generators
+#: never idle, so delivered throughput is the network's maximum.
+SATURATION_LOAD = 1.0
 
 
 @dataclass(frozen=True)
@@ -74,35 +82,16 @@ def measure_saturation(
     mean latency is the saturated latency (finite, because the injection
     queue bounds per-packet waiting at the source).
     """
-    return measure_saturation_grid([config], warmup_cycles, measure_cycles)[0]
-
-
-def measure_saturation_grid(
-    configs: Sequence[NetworkConfig],
-    warmup_cycles: int = 2000,
-    measure_cycles: int = 10000,
-) -> list[SaturationResult]:
-    """Saturation point of every config, in one simulation grid.
-
-    The grid-shaped experiments (Tables 4-6, the radix/varlen extensions)
-    all sweep independent configurations; this batches their saturation
-    runs through :func:`repro.perf.parallel_simulate`.
-    """
-    results = parallel_simulate(
-        [config.with_overrides(offered_load=1.0) for config in configs],
-        warmup_cycles,
-        measure_cycles,
+    [[point]] = latency_throughput_curves(
+        [config], [SATURATION_LOAD], warmup_cycles, measure_cycles
     )
-    return [
-        SaturationResult(
-            buffer_kind=config.buffer_kind,
-            slots_per_buffer=config.slots_per_buffer,
-            traffic_kind=config.traffic_kind,
-            saturation_throughput=result.delivered_throughput,
-            saturated_latency=result.average_latency,
-        )
-        for config, result in zip(configs, results)
-    ]
+    return SaturationResult(
+        buffer_kind=config.buffer_kind,
+        slots_per_buffer=config.slots_per_buffer,
+        traffic_kind=config.traffic_kind,
+        saturation_throughput=point.delivered_throughput,
+        saturated_latency=point.average_latency,
+    )
 
 
 def latency_throughput_curve(
@@ -132,7 +121,8 @@ def latency_throughput_curves(
     """One curve per config, every sweep point in one simulation grid.
 
     A single :func:`repro.perf.parallel_simulate` call runs all curves,
-    so the numpy backend fuses a whole figure into one batch kernel.
+    so a whole figure or table is one dispatch and the numpy backend
+    fuses each batch group of it into one kernel.
     """
     grid = [
         config.with_overrides(offered_load=load)

@@ -848,13 +848,12 @@ def simulate(
     :meth:`OmegaNetworkSimulator.run`.
 
     ``backend`` forces a simulation backend (``"reference"`` or
-    ``"numpy"``); ``None`` honours the ``REPRO_BACKEND`` preference,
-    else the numpy default.  Both backends produce byte-identical
-    results; instrumented paths (sanitizer, telemetry, checkpointing)
-    are implemented only by the reference simulator, so a forced numpy
-    request combined with one of them raises
-    :class:`~repro.errors.ConfigurationError` while a soft preference
-    falls back — the resolution rules of
+    ``"numpy"``); ``None`` prefers the numpy default, softly.  Both
+    backends produce byte-identical results; instrumented paths
+    (sanitizer, telemetry, checkpointing) are implemented only by the
+    reference simulator, so a forced numpy request combined with one of
+    them raises :class:`~repro.errors.ConfigurationError` while the soft
+    default falls back — the resolution rules of
     :func:`repro.kernel.base.choose_backend`.
     """
     from repro.instrument import env_instrumentation

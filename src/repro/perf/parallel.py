@@ -255,8 +255,8 @@ def parallel_simulate(
     :func:`simulated_cycles`).
 
     ``backend`` forces a simulation backend for the whole grid; ``None``
-    honours the ``REPRO_BACKEND`` preference, else the numpy default,
-    softly (see :func:`repro.kernel.base.choose_backend`).  The misses
+    prefers the numpy default, softly (see
+    :func:`repro.kernel.base.choose_backend`).  The misses
     become one task list for one dispatch: one task per numpy
     :func:`~repro.kernel.base.batch_group_key` group, fused into a
     struct-of-arrays kernel, and one task per reference config.  With

@@ -37,8 +37,8 @@ class JobSpec:
     """One experiment request: which experiment, at what fidelity, what seed.
 
     ``backend`` optionally forces a simulation backend for the job
-    (``"reference"``/``"numpy"``); ``None`` lets the server's ambient
-    ``REPRO_BACKEND`` preference, else the numpy default, apply softly.
+    (``"reference"``/``"numpy"``); ``None`` lets the numpy default
+    apply softly.
     Because both backends produce byte-identical results, the backend
     is deliberately **excluded** from the spec's canonical payload — a
     numpy job and a reference job for the same experiment coalesce to

@@ -9,7 +9,8 @@ numbers are asserted only loosely, since the windows are short.
 import pytest
 
 from repro.markov import discard_probability
-from repro.network import NetworkConfig, measure_saturation, simulate
+from repro.network import NetworkConfig, simulate
+from repro.network.saturation import SATURATION_LOAD, latency_throughput_curves
 from repro.switch.flow_control import Protocol
 
 WARMUP = 300
@@ -24,39 +25,47 @@ BASE = NetworkConfig(
 )
 
 
+def saturation_throughputs(configs):
+    """Saturation throughput of each named config, as one simulation grid."""
+    curves = latency_throughput_curves(
+        list(configs.values()), [SATURATION_LOAD], WARMUP, MEASURE
+    )
+    return {
+        name: point.delivered_throughput
+        for name, (point,) in zip(configs, curves)
+    }
+
+
 @pytest.fixture(scope="module")
 def saturation():
-    """Saturation points of all four architectures (computed once)."""
-    return {
-        kind: measure_saturation(
-            BASE.with_overrides(buffer_kind=kind), WARMUP, MEASURE
-        )
-        for kind in ("FIFO", "SAMQ", "SAFC", "DAMQ")
-    }
+    """Saturation throughputs of all four architectures (computed once)."""
+    return saturation_throughputs(
+        {
+            kind: BASE.with_overrides(buffer_kind=kind)
+            for kind in ("FIFO", "SAMQ", "SAFC", "DAMQ")
+        }
+    )
 
 
 class TestTable4Claims:
     def test_damq_saturation_at_least_30_percent_above_fifo(self, saturation):
         """Paper: 40% higher maximum throughput for DAMQ over FIFO."""
-        ratio = (
-            saturation["DAMQ"].saturation_throughput
-            / saturation["FIFO"].saturation_throughput
-        )
+        ratio = saturation["DAMQ"] / saturation["FIFO"]
         assert ratio > 1.30
 
     def test_saturation_ordering_matches_paper(self, saturation):
         """FIFO < SAMQ, SAFC < DAMQ (Table 4's ordering)."""
-        fifo = saturation["FIFO"].saturation_throughput
-        samq = saturation["SAMQ"].saturation_throughput
-        safc = saturation["SAFC"].saturation_throughput
-        damq = saturation["DAMQ"].saturation_throughput
+        fifo = saturation["FIFO"]
+        samq = saturation["SAMQ"]
+        safc = saturation["SAFC"]
+        damq = saturation["DAMQ"]
         assert fifo < samq + 0.02  # FIFO lowest (small tolerance)
         assert samq <= safc + 0.02  # full connection helps a little
         assert damq == max(fifo, samq, safc, damq)
 
     def test_fifo_saturates_near_half_capacity(self, saturation):
         """Paper: FIFO with 4 slots saturates at ~0.51."""
-        assert 0.42 < saturation["FIFO"].saturation_throughput < 0.60
+        assert 0.42 < saturation["FIFO"] < 0.60
 
     def test_below_saturation_latencies_nearly_equal(self):
         """Paper: at <=0.40 the buffer type is not a significant factor."""
@@ -101,30 +110,29 @@ class TestTable4Claims:
 class TestTable5Claims:
     def test_damq_3_slots_beats_fifo_8_slots(self):
         """Paper: control beats capacity — DAMQ-3 saturates above FIFO-8."""
-        damq3 = measure_saturation(
-            BASE.with_overrides(buffer_kind="DAMQ", slots_per_buffer=3),
-            WARMUP,
-            MEASURE,
-        ).saturation_throughput
-        fifo8 = measure_saturation(
-            BASE.with_overrides(buffer_kind="FIFO", slots_per_buffer=8),
-            WARMUP,
-            MEASURE,
-        ).saturation_throughput
-        assert damq3 > fifo8
+        pair = saturation_throughputs(
+            {
+                "damq3": BASE.with_overrides(
+                    buffer_kind="DAMQ", slots_per_buffer=3
+                ),
+                "fifo8": BASE.with_overrides(
+                    buffer_kind="FIFO", slots_per_buffer=8
+                ),
+            }
+        )
+        assert pair["damq3"] > pair["fifo8"]
 
     def test_extra_damq_slots_move_saturation_little(self):
         """Paper: DAMQ's saturation barely moves from 3 to 8 slots."""
-        damq3 = measure_saturation(
-            BASE.with_overrides(buffer_kind="DAMQ", slots_per_buffer=3),
-            WARMUP,
-            MEASURE,
-        ).saturation_throughput
-        damq8 = measure_saturation(
-            BASE.with_overrides(buffer_kind="DAMQ", slots_per_buffer=8),
-            WARMUP,
-            MEASURE,
-        ).saturation_throughput
+        pair = saturation_throughputs(
+            {
+                slots: BASE.with_overrides(
+                    buffer_kind="DAMQ", slots_per_buffer=slots
+                )
+                for slots in (3, 8)
+            }
+        )
+        damq3, damq8 = pair[3], pair[8]
         # The paper reports 0.63 -> 0.74 for 3 -> 8 slots; our model's gap
         # is slightly larger but the claim (diminishing returns vs the
         # FIFO->DAMQ architectural jump) holds.
@@ -136,28 +144,23 @@ class TestTable6Claims:
     @pytest.fixture(scope="class")
     def hot_saturation(self):
         hot = BASE.with_overrides(traffic_kind="hotspot", hot_fraction=0.05)
-        return {
-            kind: measure_saturation(
-                hot.with_overrides(buffer_kind=kind), WARMUP, MEASURE
-            )
-            for kind in ("FIFO", "SAMQ", "SAFC", "DAMQ")
-        }
+        return saturation_throughputs(
+            {
+                kind: hot.with_overrides(buffer_kind=kind)
+                for kind in ("FIFO", "SAMQ", "SAFC", "DAMQ")
+            }
+        )
 
     def test_all_architectures_tree_saturate_together(self, hot_saturation):
         """Paper: every buffer type saturates just under 0.25."""
-        throughputs = [
-            result.saturation_throughput for result in hot_saturation.values()
-        ]
+        throughputs = list(hot_saturation.values())
         assert max(throughputs) - min(throughputs) < 0.04
         for value in throughputs:
             assert 0.15 < value < 0.30
 
     def test_hotspot_saturation_far_below_uniform(self, hot_saturation, saturation):
         for kind in ("FIFO", "DAMQ"):
-            assert (
-                hot_saturation[kind].saturation_throughput
-                < saturation[kind].saturation_throughput - 0.15
-            )
+            assert hot_saturation[kind] < saturation[kind] - 0.15
 
 
 class TestTable3Claims:

@@ -7,6 +7,7 @@ other output is refused while empty.  The tests here re-verify the
 violation from scratch *and* replay the committed trace.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -91,8 +92,16 @@ class TestCommittedFixture:
             json.loads(FIXTURE.read_text())
         )
         written = counterexample.export(tmp_path, "starvation")
-        assert written["vcd"].exists()
-        assert written["chrome"].exists()
+        digests = {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in written.items()
+        }
+        assert digests == {
+            "vcd": "c1d3975557f70c61dfc932f22317518c"
+            "b6178ed1c88c54c3ae84fa7b309f17d0",
+            "chrome": "b3db9a72b2f249d0253c39335bf1f653"
+            "71b1c17556547ebc07ca65fdd6fa0e41",
+        }
 
 
 class TestCommandLine:

@@ -274,7 +274,8 @@ class TestRunAll:
 
 def _three_grids(quick=False, seed=1988):
     """A stub network experiment: three grid calls on 16-port networks."""
-    from repro.network import NetworkConfig, measure_saturation_grid
+    from repro.network import NetworkConfig
+    from repro.network.saturation import SATURATION_LOAD
     from repro.perf import parallel_simulate
     from repro.utils.tables import format_value
 
@@ -283,23 +284,22 @@ def _three_grids(quick=False, seed=1988):
         NetworkConfig(num_ports=16, radix=4, buffer_kind=kind, seed=seed)
         for kind in kinds
     ]
-    light, heavy = (
+    light, heavy, saturated = (
         parallel_simulate(
             [config.with_overrides(offered_load=load) for config in configs],
             100,
             300,
         )
-        for load in (0.3, 0.6)
+        for load in (0.3, 0.6, SATURATION_LOAD)
     )
-    saturations = measure_saturation_grid(configs, 100, 300)
     table = TextTable("stub", ["Buffer", "lat @0.3", "lat @0.6", "sat"])
-    for kind, low, high, saturation in zip(kinds, light, heavy, saturations):
+    for kind, low, high, saturation in zip(kinds, light, heavy, saturated):
         table.add_row(
             [
                 kind,
                 format_value(low.average_latency, 3),
                 format_value(high.average_latency, 3),
-                format_value(saturation.saturation_throughput, 4),
+                format_value(saturation.delivered_throughput, 4),
             ]
         )
     result = ExperimentResult(
@@ -336,3 +336,52 @@ class TestRunLevelPool:
         assert len(starts) == 1
         assert maps == [2, 2, 2]  # every grid ran on that one pool
         assert pooled.render() == serial.render()
+
+
+class TestOneGridPerExperiment:
+    """Each network experiment submits its whole grid as one dispatch."""
+
+    @pytest.mark.parametrize(
+        "experiment_id",
+        [
+            "figure3",
+            "table3",
+            "table4",
+            "table5",
+            "table6",
+            "ext-radix",
+            "ext-varlen",
+            "ext-arch",
+        ],
+    )
+    def test_one_dispatch(self, monkeypatch, experiment_id):
+        from importlib import import_module
+
+        from repro.perf import parallel_simulate
+
+        module = import_module(
+            f"repro.experiments.{experiment_id.replace('-', '_')}"
+        )
+        # A short window keeps each case fast; the dispatch count does
+        # not depend on it.  ext-arch fixes its own window, so its grid
+        # call is shortened instead.
+        if hasattr(module, "sim_cycles"):
+            monkeypatch.setattr(module, "sim_cycles", lambda quick: (20, 60))
+        else:
+            monkeypatch.setattr(
+                module,
+                "parallel_simulate",
+                lambda configs, _warmup, _measure: parallel_simulate(
+                    configs, 20, 60
+                ),
+            )
+        dispatches = []
+
+        def counting_serial_map(fn, items):
+            dispatches.append(len(items))
+            return [fn(item) for item in items]
+
+        run_experiment(
+            experiment_id, quick=True, dispatcher=counting_serial_map
+        )
+        assert len(dispatches) == 1, dispatches

@@ -8,14 +8,12 @@ from repro.cache.runtime import CacheContext, activate
 from repro.errors import ConfigurationError
 from repro.kernel import arrivals
 from repro.kernel.base import (
-    BACKEND_ENV,
     BACKENDS,
     DEFAULT_BACKEND,
     choose_backend,
     make_kernel,
     normalize_backend,
     numpy_unsupported_reason,
-    requested_backend,
     resolve_backend,
 )
 from repro.network import NetworkConfig
@@ -35,33 +33,12 @@ class TestNormalize:
             normalize_backend("cuda")
 
 
-class TestRequestedBackend:
-    def test_unset_and_zero_mean_none(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert requested_backend() is None
-        monkeypatch.setenv(BACKEND_ENV, "0")
-        assert requested_backend() is None
-
-    def test_env_value_is_normalized(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "NUMPY")
-        assert requested_backend() == "numpy"
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "gpu")
-        with pytest.raises(ConfigurationError):
-            requested_backend()
-
-
 class TestResolveBackend:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_is_numpy(self):
         assert DEFAULT_BACKEND == "numpy"
         assert choose_backend(NetworkConfig(**QUICK)) == ("numpy", None)
 
-    def test_default_falls_back_to_reference_with_the_reason(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_falls_back_to_reference_with_the_reason(self):
         config = NetworkConfig(packet_loss_rate=0.01, **QUICK)
         backend, reason = choose_backend(config)
         assert backend == "reference"
@@ -69,16 +46,14 @@ class TestResolveBackend:
         assert choose_backend(config, sanitize=True)[1].startswith(
             "the sanitizer"
         )
-        # A reference preference is not a fallback.
-        monkeypatch.setenv(BACKEND_ENV, "reference")
-        assert choose_backend(config) == ("reference", None)
+        # A reference request is not a fallback.
+        assert choose_backend(config, "reference") == ("reference", None)
 
-    def test_env_preference_applies_softly(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_default_applies_softly(self):
         config = NetworkConfig(**QUICK)
         assert resolve_backend(config) == "numpy"
         # Instrumentation the numpy kernel cannot host: the soft
-        # preference yields to the reference kernel without complaint.
+        # default yields to the reference kernel without complaint.
         assert resolve_backend(config, sanitize=True) == "reference"
         assert resolve_backend(config, trace=True) == "reference"
         assert resolve_backend(config, checkpoint=True) == "reference"
@@ -96,20 +71,14 @@ class TestResolveBackend:
         with pytest.raises(ConfigurationError):
             resolve_backend(config, "numpy")
 
-    def test_soft_preference_on_unsupported_config_falls_back(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_soft_preference_on_unsupported_config_falls_back(self):
         config = NetworkConfig(serialize_links=True, **QUICK)
         assert resolve_backend(config) == "reference"
 
-    def test_radix_beyond_the_arbitration_key_stays_on_reference(
-        self, monkeypatch
-    ):
+    def test_radix_beyond_the_arbitration_key_stays_on_reference(self):
         from repro.network.simulator import simulate
 
         config = NetworkConfig(num_ports=32, radix=32, seed=1988)
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
         preferred = simulate(config, warmup_cycles=10, measure_cycles=30)
         reference = simulate(
             config, warmup_cycles=10, measure_cycles=30, backend="reference"
@@ -177,8 +146,7 @@ class TestArchZooGating:
         with pytest.raises(ConfigurationError, match="CQ"):
             resolve_backend(config, "numpy")
 
-    def test_soft_preference_falls_back_to_reference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_soft_preference_falls_back_to_reference(self):
         arch = NetworkConfig(buffer_kind="DAMQ-RSV", **self.ARCH)
         assert resolve_backend(arch) == "reference"
         paper = NetworkConfig(buffer_kind="DAMQ", **self.ARCH)
@@ -209,8 +177,7 @@ class TestMakeKernel:
         with pytest.raises(ConfigurationError):
             make_kernel(NetworkConfig(packet_size=2, **QUICK), "numpy")
 
-    def test_default_backend_is_soft(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_backend_is_soft(self):
         assert make_kernel(NetworkConfig(**QUICK)).name == "numpy"
         unsupported = NetworkConfig(packet_size=2, **QUICK)
         assert make_kernel(unsupported).name == "reference"
@@ -257,13 +224,10 @@ class TestDecodeRuleProbe:
         with pytest.raises(ConfigurationError, match="decoding rules"):
             NumpyKernel(config)
 
-    def test_soft_default_falls_back_and_records_the_reason(
-        self, planted, monkeypatch
-    ):
+    def test_soft_default_falls_back_and_records_the_reason(self, planted):
         from repro.network.simulator import simulate
         from repro.perf.parallel import parallel_simulate
 
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         config = NetworkConfig(**QUICK)
         backend, reason = choose_backend(config)
         assert backend == "reference"
