@@ -8,6 +8,8 @@ checkpoints — must produce a report byte-identical to the plain serial
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import subprocess
 import sys
@@ -83,9 +85,9 @@ class TestHttpSurface:
         assert "unknown experiment" in document["error"]
 
     def test_non_json_body_400(self, client):
-        import http.client as hc
-
-        connection = hc.HTTPConnection(client.host, client.port, timeout=30)
+        connection = http.client.HTTPConnection(
+            client.host, client.port, timeout=30
+        )
         try:
             connection.request("POST", "/v1/jobs", body=b"{not json")
             response = connection.getresponse()
@@ -98,6 +100,53 @@ class TestHttpSurface:
         assert client.request("DELETE", "/v1/jobs")[0] == 405
         # No HTTP request can kill a worker: there is no admin route.
         assert client.request("POST", "/v1/admin/kill-worker", {})[0] == 405
+
+    def test_oversized_body_400(self, client):
+        body = b" " * (64 * 1024 + 1)
+        connection = http.client.HTTPConnection(
+            client.host, client.port, timeout=30
+        )
+        try:
+            connection.request("POST", "/v1/jobs", body=body)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_every_answer_is_json_and_closes(self, client):
+        for method, path, payload in (
+            ("GET", "/v1/health", None),
+            ("GET", "/v1/stats", None),
+            ("GET", "/v1/metrics", None),
+            ("GET", "/v1/jobs/job-999999", None),
+            ("GET", "/nope", None),
+            ("POST", "/v1/jobs", {"experiment": "not-an-experiment"}),
+            ("POST", "/v1/jobs", {"experiment": "table1", "wait": True}),
+        ):
+            _, _, headers = client.request(method, path, payload)
+            assert headers["content-type"] == "application/json", path
+            assert headers["connection"] == "close", path
+
+    def test_no_wait_submission_polls_to_the_waited_report(self, client):
+        status, submitted = client.submit("table2", seed=7, wait=False)
+        assert status in (200, 202)
+        deadline = time.monotonic() + 120.0
+        polled = submitted
+        while polled["status"] != "done":
+            assert polled["status"] in ("queued", "running"), polled
+            assert time.monotonic() < deadline, "job never finished"
+            time.sleep(0.05)
+            status, polled = client.job(submitted["id"])
+            assert status == 200
+        status, waited = client.submit("table2", seed=7, wait=True)
+        assert status == 200
+        assert waited["result"]["report"] == polled["result"]["report"]
+
+    def test_put_405(self, client):
+        status, document, _ = client.request("PUT", "/v1/jobs", {})
+        assert status == 405
+        assert "error" in document
 
     def test_stats_and_metrics_documents(self, client):
         stats = client.stats()
