@@ -12,8 +12,8 @@ code is identical with and without a cache.
 
 The context lives in a :class:`contextvars.ContextVar` rather than a
 bare module global so that concurrent activations in different threads
-— the simulation service runs experiments on worker threads while its
-event loop keeps serving — see only their own context.  For the
+— the simulation service runs experiments on its job-runner thread
+while its connection threads keep serving — see only their own context.  For the
 single-threaded CLI paths the behaviour is unchanged.
 """
 

@@ -99,7 +99,7 @@ def _executor(
         yield dispatcher
         return
     # Imported here so that a serial run never loads the service
-    # package (asyncio, HTTP server).
+    # package (HTTP server, job store).
     from repro.service.supervisor import SupervisedPool, SupervisorConfig
 
     # No deadline: a full-fidelity grid point has no wall-clock bound.

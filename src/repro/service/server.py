@@ -1,4 +1,4 @@
-"""The simulation service: asyncio HTTP front end over a supervised farm.
+"""The simulation service: a threaded HTTP front end over a supervised farm.
 
 ``python -m repro.service serve`` exposes the experiment suite as a
 long-running job service.  The moving parts, and where the robustness
@@ -25,9 +25,12 @@ lives:
   checkpoint (a task's retry budget spent, or the experiment raised).
   A failed job is unindexed, so resubmitting the spec retries it.
 
-The HTTP layer is deliberately small (stdlib asyncio, HTTP/1.1,
-``Connection: close``): the service's value is the supervision and the
-content addressing, not the web framework.
+The HTTP layer is deliberately small: the standard library's
+:class:`~http.server.ThreadingHTTPServer`, one thread per connection
+that calls the service directly (``"wait": true`` blocks that thread
+until the job finishes), JSON in and out, ``Connection: close``.  The
+service's value is the supervision and the content addressing, not the
+web framework.
 
 Endpoints::
 
@@ -41,16 +44,16 @@ Endpoints::
 
 from __future__ import annotations
 
-import asyncio
 import json
 import signal
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from queue import Empty, Full, Queue
-from typing import Any
+from typing import Any, Callable
 
 from repro.cache.store import ResultCache
 from repro.errors import ConfigurationError
@@ -67,16 +70,6 @@ __all__ = [
     "serve",
     "serve_in_thread",
 ]
-
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-}
 
 #: Upper bound on request body size (64 KiB is generous for job specs).
 _MAX_BODY = 64 * 1024
@@ -124,8 +117,8 @@ class Response:
 class SimulationService:
     """Protocol-agnostic core: admission, dedup, execution, failure.
 
-    Thread-safety model: HTTP handlers call :meth:`submit` and the read
-    endpoints from executor threads; one dedicated runner thread executes
+    Thread-safety model: each HTTP connection's thread calls
+    :meth:`submit` and the read endpoints directly; one dedicated runner thread executes
     jobs serially (each job's grid points parallelize across the
     supervised pool, so job-level concurrency is the pool's, not the
     runner's).  ``self._lock`` guards all shared job state; each
@@ -400,173 +393,142 @@ class SimulationService:
         record.finished.set()
 
 
-class HttpServer:
-    """Minimal stdlib HTTP/1.1 front end for a :class:`SimulationService`."""
+class _Handler(BaseHTTPRequestHandler):
+    """One request per connection, answered on the connection's thread."""
 
-    def __init__(self, service: SimulationService, host: str, port: int):
-        self.service = service
-        self.host = host
-        self.port = port
-        self._server: asyncio.base_events.Server | None = None
+    protocol_version = "HTTP/1.1"
+    #: Seconds a client may take over each read of its request.
+    timeout = 30.0
+    server: _HttpServer
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+    def __getattr__(self, name: str) -> Callable[[], None]:
+        # Every method reaches the router, which answers 405 or 404 for
+        # the ones no route takes (the base class would answer 501).
+        if name.startswith("do_"):
+            return self._respond
+        raise AttributeError(name)
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _respond(self) -> None:
         try:
-            request = await asyncio.wait_for(
-                self._read_request(reader), timeout=30.0
-            )
-            if request is None:
-                return
-            method, target, body = request
-            response, wait = await self._route(method, target, body)
-            if response.record is not None:
-                if wait and not response.record.finished.is_set():
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, response.record.finished.wait
-                    )
-                document = response.record.describe()
-                if response.cache_hit:
-                    document["cache_hit"] = True
-                status = (
-                    200 if response.record.finished.is_set() else response.status
-                )
-                self._write(writer, status, document, response.headers)
-            else:
-                self._write(
-                    writer, response.status, response.body or {}, response.headers
-                )
-            await writer.drain()
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-            pass
-        except ValueError as exc:
-            self._write(writer, 400, {"error": str(exc)}, {})
+            status, document, headers = self._answer()
+        except TimeoutError:
+            raise  # a client too slow to send its body gets no answer
         except Exception as exc:  # pragma: no cover - last-resort guard
-            self._write(writer, 500, {"error": f"{type(exc).__name__}: {exc}"}, {})
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            status, document, headers = (
+                500,
+                {"error": f"{type(exc).__name__}: {exc}"},
+                {},
+            )
+        self._write(status, document, headers)
 
-    async def _route(
-        self, method: str, target: str, body: bytes
-    ) -> tuple[Response, bool]:
-        service = self.service
-        loop = asyncio.get_running_loop()
+    def _answer(self) -> tuple[int, dict[str, Any], dict[str, str]]:
+        response, wait = self._route()
+        record = response.record
+        if record is None:
+            return response.status, response.body or {}, response.headers
+        if wait:
+            record.finished.wait()
+        document = record.describe()
+        if response.cache_hit:
+            document["cache_hit"] = True
+        status = 200 if record.finished.is_set() else response.status
+        return status, document, response.headers
+
+    def _route(self) -> tuple[Response, bool]:
+        service = self.server.service
+        method, target = self.command, self.path
         if method == "POST" and target == "/v1/jobs":
             try:
-                payload = json.loads(body.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return Response(400, body={"error": "body is not JSON"}), False
+                payload = self._read_json()
+            except ValueError as exc:
+                return Response(400, body={"error": str(exc)}), False
             wait = isinstance(payload, dict) and bool(payload.get("wait"))
-            response = await loop.run_in_executor(None, service.submit, payload)
-            return response, wait
+            return service.submit(payload), wait
         if method == "GET" and target.startswith("/v1/jobs/"):
-            job_id = target.removeprefix("/v1/jobs/")
-            return await loop.run_in_executor(None, service.get_job, job_id), False
+            return service.get_job(target.removeprefix("/v1/jobs/")), False
         if method == "GET" and target == "/v1/health":
             return service.health(), False
         if method == "GET" and target == "/v1/stats":
-            return await loop.run_in_executor(None, service.stats), False
+            return service.stats(), False
         if method == "GET" and target == "/v1/metrics":
-            return (
-                await loop.run_in_executor(None, service.metrics_document),
-                False,
-            )
+            return service.metrics_document(), False
         if target.startswith("/v1/"):
             return Response(405, body={"error": f"{method} {target}"}), False
         return Response(404, body={"error": f"no route {target}"}), False
 
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> tuple[str, str, bytes] | None:
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3:
-            raise ValueError("malformed request line")
-        method, target, _version = parts
-        length = 0
-        for _ in range(100):
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        else:
-            raise ValueError("too many headers")
-        if length > _MAX_BODY:
+    def _read_json(self) -> Any:
+        length = int(self.headers.get("Content-Length") or 0)
+        if not 0 <= length <= _MAX_BODY:
             raise ValueError("request body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, body
+        try:
+            return json.loads(self.rfile.read(length).decode() or "{}")
+        except ValueError:
+            raise ValueError("body is not JSON") from None
 
-    @staticmethod
     def _write(
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict[str, Any],
-        headers: dict[str, str],
+        self, status: int, body: dict[str, Any], headers: dict[str, str]
     ) -> None:
         payload = json.dumps(body).encode()
-        lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(payload)}",
-            "Connection: close",
-        ]
+        self.send_response_only(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
         for name, value in headers.items():
-            lines.append(f"{name}: {value}")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + payload)
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """The base class's own refusals (a malformed request line, too
+        many headers) answer JSON like every route."""
+        # Even a request line too malformed to name a version gets a
+        # status line and headers.
+        self.request_version = self.protocol_version
+        self._write(code, {"error": message or self.responses[code][0]}, {})
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No per-request logging."""
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """A daemon thread per connection, each calling the service directly."""
+
+    #: Listen backlog: a burst of connecting clients waits in the kernel
+    #: instead of being refused (socketserver's default is 5).
+    request_queue_size = 100
+
+    def __init__(self, service: SimulationService, host: str, port: int) -> None:
+        self.service = service
+        super().__init__((host, port), _Handler)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """A client that hangs up mid-answer is not logged either."""
 
 
 class ServiceHandle:
-    """A service + HTTP server running on a background event loop."""
+    """A service and its HTTP server, serving on a background thread."""
 
-    def __init__(
-        self,
-        service: SimulationService,
-        http: HttpServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
+    def __init__(self, service: SimulationService, http: _HttpServer) -> None:
         self.service = service
         self.http = http
-        self._loop = loop
-        self._thread = thread
+        self._thread = threading.Thread(
+            target=http.serve_forever, name="repro-service", daemon=True
+        )
+        self._thread.start()
 
     @property
     def port(self) -> int:
-        return self.http.port
+        return int(self.http.server_address[1])
 
     @property
     def url(self) -> str:
-        return f"http://{self.http.host}:{self.http.port}"
+        return f"http://{self.service.config.host}:{self.port}"
 
     def close(self) -> None:
-        future = asyncio.run_coroutine_threadsafe(self.http.stop(), self._loop)
-        future.result(timeout=10.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
+        self.http.shutdown()
+        self.http.server_close()
         self._thread.join(timeout=10.0)
         self.service.close()
 
@@ -584,19 +546,10 @@ def serve_in_thread(config: ServiceConfig | None = None) -> ServiceHandle:
     and server in one process without blocking the caller.
     """
     config = config or ServiceConfig()
-    service = SimulationService(config).start()
-    http = HttpServer(service, config.host, config.port)
-    loop = asyncio.new_event_loop()
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_forever()
-
-    thread = threading.Thread(target=_run, name="repro-service", daemon=True)
-    thread.start()
-    future = asyncio.run_coroutine_threadsafe(http.start(), loop)
-    future.result(timeout=10.0)
-    return ServiceHandle(service, http, loop, thread)
+    service = SimulationService(config)
+    # Bind first, so that a taken port leaves no worker process behind.
+    http = _HttpServer(service, config.host, config.port)
+    return ServiceHandle(service.start(), http)
 
 
 def serve(config: ServiceConfig | None = None, port_file: str | None = None) -> None:

@@ -341,26 +341,6 @@ class SupervisedPool:
             raise first_error
         return results
 
-    def kill_worker(self, slot: int | None = None) -> int | None:
-        """Hard-kill one worker (prefer a busy one); returns its slot.
-
-        An external crash on demand: the supervision loop detects the
-        death, retries the victim's task from its checkpoint, and
-        respawns the slot — exactly as for any other crash.
-        """
-        with self._lock:
-            candidates = [w for w in self._workers if w.busy_uid is not None]
-            pool = candidates or self._workers
-            if slot is not None:
-                pool = [w for w in self._workers if w.slot == slot]
-            if not pool:
-                return None
-            victim = pool[0]
-            if victim.process is None or not victim.process.is_alive():
-                return None
-            victim.process.kill()
-            return victim.slot
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

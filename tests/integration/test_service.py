@@ -161,6 +161,23 @@ class TestHttpSurface:
         assert registry.value("service_jobs_total") > 0
 
 
+class TestImports:
+    def test_import_loads_no_event_loop(self):
+        # The HTTP front end is the standard library's threaded server:
+        # one thread per connection, no asyncio anywhere in the package.
+        probe = "import sys, repro.service; print('asyncio' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestAdmissionControl:
     def test_queue_overflow_rejected_with_retry_after(self):
         # Service constructed but *not started*: the runner never drains,
