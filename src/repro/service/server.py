@@ -118,10 +118,10 @@ class SimulationService:
     """Protocol-agnostic core: admission, dedup, execution, failure.
 
     Thread-safety model: each HTTP connection's thread calls
-    :meth:`submit` and the read endpoints directly; one dedicated runner thread executes
-    jobs serially (each job's grid points parallelize across the
-    supervised pool, so job-level concurrency is the pool's, not the
-    runner's).  ``self._lock`` guards all shared job state; each
+    :meth:`submit` and the read endpoints directly; one dedicated runner
+    thread executes jobs serially (each job's grid points parallelize
+    across the supervised pool, so job-level concurrency is the pool's,
+    not the runner's).  ``self._lock`` guards all shared job state; each
     :class:`ResultCache` is touched by exactly one side (jobs: under the
     lock; simulations: runner thread only).
     """
@@ -422,39 +422,40 @@ class _Handler(BaseHTTPRequestHandler):
         self._write(status, document, headers)
 
     def _answer(self) -> tuple[int, dict[str, Any], dict[str, str]]:
-        response, wait = self._route()
+        response = self._route()
         record = response.record
         if record is None:
             return response.status, response.body or {}, response.headers
-        if wait:
-            record.finished.wait()
         document = record.describe()
         if response.cache_hit:
             document["cache_hit"] = True
         status = 200 if record.finished.is_set() else response.status
         return status, document, response.headers
 
-    def _route(self) -> tuple[Response, bool]:
+    def _route(self) -> Response:
         service = self.server.service
         method, target = self.command, self.path
         if method == "POST" and target == "/v1/jobs":
             try:
                 payload = self._read_json()
             except ValueError as exc:
-                return Response(400, body={"error": str(exc)}), False
-            wait = isinstance(payload, dict) and bool(payload.get("wait"))
-            return service.submit(payload), wait
+                return Response(400, body={"error": str(exc)})
+            response = service.submit(payload)
+            wait = isinstance(payload, dict) and payload.get("wait")
+            if wait and response.record is not None:
+                response.record.finished.wait()
+            return response
         if method == "GET" and target.startswith("/v1/jobs/"):
-            return service.get_job(target.removeprefix("/v1/jobs/")), False
+            return service.get_job(target.removeprefix("/v1/jobs/"))
         if method == "GET" and target == "/v1/health":
-            return service.health(), False
+            return service.health()
         if method == "GET" and target == "/v1/stats":
-            return service.stats(), False
+            return service.stats()
         if method == "GET" and target == "/v1/metrics":
-            return service.metrics_document(), False
+            return service.metrics_document()
         if target.startswith("/v1/"):
-            return Response(405, body={"error": f"{method} {target}"}), False
-        return Response(404, body={"error": f"no route {target}"}), False
+            return Response(405, body={"error": f"{method} {target}"})
+        return Response(404, body={"error": f"no route {target}"})
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
@@ -499,7 +500,9 @@ class _HttpServer(ThreadingHTTPServer):
     #: instead of being refused (socketserver's default is 5).
     request_queue_size = 100
 
-    def __init__(self, service: SimulationService, host: str, port: int) -> None:
+    def __init__(
+        self, service: SimulationService, host: str, port: int
+    ) -> None:
         self.service = service
         super().__init__((host, port), _Handler)
 
