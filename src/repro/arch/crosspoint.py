@@ -155,8 +155,8 @@ class CrosspointBuffer(SwitchBuffer):
         self._check_output(destination)
         return self._used[destination]
 
-    def packets(self) -> list[Packet]:
-        return [packet for queue in self._queues for packet in queue]
+    def logical_queues(self) -> list[list[Packet]]:
+        return [list(queue) for queue in self._queues]
 
     # -- checkpoint serialization ------------------------------------------
 

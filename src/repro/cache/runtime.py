@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.cache.store import ResultCache
+from repro.errors import ConfigurationError
 
 __all__ = ["CacheContext", "Dispatcher", "activate", "active"]
 
@@ -47,7 +48,9 @@ class CacheContext:
         Periodic checkpoint cadence for each simulation, in cycles
         (``None`` disables checkpointing).
     checkpoint_dir:
-        Directory for per-task checkpoint files.
+        Directory for per-task checkpoint files; given together with
+        ``checkpoint_every`` or not at all (:class:`ConfigurationError`
+        otherwise).
     dispatcher:
         Optional work executor ``(fn, items) -> results`` for every
         map of the run; ``None`` runs the maps serially in-process.  The
@@ -80,6 +83,11 @@ class CacheContext:
         dispatcher: Dispatcher | None = None,
         backend: str | None = None,
     ) -> None:
+        if (checkpoint_every is None) != (checkpoint_dir is None):
+            raise ConfigurationError(
+                "checkpointing needs both checkpoint_every and "
+                "checkpoint_dir; got only one"
+            )
         self.cache = cache
         self.experiment = experiment
         self.checkpoint_every = checkpoint_every
@@ -94,7 +102,7 @@ class CacheContext:
     @property
     def checkpointing(self) -> bool:
         """Whether per-task checkpoint/resume is configured."""
-        return self.checkpoint_every is not None and self.checkpoint_dir is not None
+        return self.checkpoint_every is not None
 
 
 _ACTIVE: ContextVar[CacheContext | None] = ContextVar(

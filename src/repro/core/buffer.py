@@ -294,9 +294,19 @@ class SwitchBuffer(ABC):
             if self.peek(output) is not None
         ]
 
-    def packets(self) -> list[Packet]:
-        """Every stored packet (order unspecified).  For tests/metrics."""
+    def logical_queues(self) -> list[list[Packet]]:
+        """The stored packets, one list per logical queue, in FIFO order.
+
+        One list per destination queue — a single list for the FIFO,
+        whose one physical queue serves every destination.  Physical
+        placement (which DAMQ slot a packet landed in) is not part of
+        the view; a multi-slot packet appears once.
+        """
         raise NotImplementedError
+
+    def packets(self) -> list[Packet]:
+        """Every stored packet, queue after queue.  For tests/metrics."""
+        return [packet for queue in self.logical_queues() for packet in queue]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

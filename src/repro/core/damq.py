@@ -137,20 +137,21 @@ class DamqBuffer(SwitchBuffer):
     def occupancy(self) -> int:
         return self._lists.occupancy()
 
-    def packets(self) -> list[Packet]:
-        result = []
-        seen: set[int] = set()
+    def logical_queues(self) -> list[list[Packet]]:
+        # A multi-slot packet's slots are consecutive on its list.
+        queues: list[list[Packet]] = []
         for output in range(self.num_outputs):
+            queue: list[Packet] = []
             for slot in self._lists.slots(output):
                 packet = self._slot_packet[slot]
                 if packet is None:
                     raise InvariantError(
                         f"allocated slot {slot} holds no packet"
                     )
-                if packet.packet_id not in seen:
-                    seen.add(packet.packet_id)
-                    result.append(packet)
-        return result
+                if not queue or queue[-1].packet_id != packet.packet_id:
+                    queue.append(packet)
+            queues.append(queue)
+        return queues
 
     # -- checkpoint serialization ------------------------------------------
 

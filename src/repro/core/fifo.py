@@ -119,8 +119,8 @@ class FifoBuffer(SwitchBuffer):
     def occupancy(self) -> int:
         return self._used
 
-    def packets(self) -> list[Packet]:
-        return [packet for packet, _ in self._queue]
+    def logical_queues(self) -> list[list[Packet]]:
+        return [[packet for packet, _ in self._queue]]
 
     # -- checkpoint serialization ------------------------------------------
 

@@ -1,11 +1,12 @@
 """Simulation kernel backends.
 
-The reference Omega-network simulator
-(:mod:`repro.network.simulator`) advances the machine one Python object
-at a time; it is the semantics oracle every other backend is measured
-against.  This package puts a thin :class:`~repro.kernel.base.SimKernel`
-interface in front of it and adds a numpy struct-of-arrays backend
-(:mod:`repro.kernel.numpy_kernel`) that advances every switch of a
+Two backends implement the :class:`~repro.kernel.base.SimKernel`
+interface.  The reference Omega-network simulator
+(:class:`~repro.network.simulator.OmegaNetworkSimulator`) advances the
+machine one Python object at a time; it is the semantics oracle every
+other backend is measured against, and it is the ``"reference"``
+kernel itself, with no adapter in between.  The numpy struct-of-arrays
+backend (:mod:`repro.kernel.numpy_kernel`) advances every switch of a
 stage per array operation while producing byte-identical results —
 same packets, same grants, same meters, same RNG stream consumption.
 
@@ -33,7 +34,6 @@ from repro.kernel.base import (
     make_kernel,
     normalize_backend,
     numpy_unsupported_reason,
-    resolve_backend,
 )
 
 __all__ = [
@@ -44,5 +44,4 @@ __all__ = [
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",
-    "resolve_backend",
 ]

@@ -33,17 +33,21 @@ from repro.switch.flow_control import Protocol
 #: covering both flow-control protocols and both arbiter priorities,
 #: plus a saturated hot-spot FIFO: there a downstream FIFO receives
 #: packets out of creation order, so its read order must follow arrival,
-#: not packet id.  The last two rows run the other switch sizes of the
+#: not packet id.  Rows six and seven run the other switch sizes of the
 #: radix experiment: 2x2 switches in six stages, 8x8 switches in two.
-#: Each row is (kind, protocol, arbiter, traffic, load, radix, slots).
+#: The last row runs conservative flow control near saturation, where
+#: an upstream switch only knows whether a packet of *any* destination
+#: would fit downstream.  Each row is (kind, protocol, arbiter, traffic,
+#: load, radix, slots, flow-control fidelity).
 CI_GRID = (
-    ("FIFO", Protocol.BLOCKING, "smart", "uniform", 0.5, 4, 4),
-    ("DAMQ", Protocol.BLOCKING, "dumb", "uniform", 0.7, 4, 4),
-    ("SAMQ", Protocol.DISCARDING, "smart", "uniform", 0.5, 4, 4),
-    ("SAFC", Protocol.DISCARDING, "dumb", "uniform", 0.5, 4, 4),
-    ("FIFO", Protocol.BLOCKING, "smart", "hotspot", 0.9, 4, 4),
-    ("SAMQ", Protocol.BLOCKING, "smart", "uniform", 0.7, 2, 4),
-    ("SAFC", Protocol.BLOCKING, "dumb", "uniform", 0.7, 8, 16),
+    ("FIFO", Protocol.BLOCKING, "smart", "uniform", 0.5, 4, 4, "precise"),
+    ("DAMQ", Protocol.BLOCKING, "dumb", "uniform", 0.7, 4, 4, "precise"),
+    ("SAMQ", Protocol.DISCARDING, "smart", "uniform", 0.5, 4, 4, "precise"),
+    ("SAFC", Protocol.DISCARDING, "dumb", "uniform", 0.5, 4, 4, "precise"),
+    ("FIFO", Protocol.BLOCKING, "smart", "hotspot", 0.9, 4, 4, "precise"),
+    ("SAMQ", Protocol.BLOCKING, "smart", "uniform", 0.7, 2, 4, "precise"),
+    ("SAFC", Protocol.BLOCKING, "dumb", "uniform", 0.7, 8, 16, "precise"),
+    ("SAMQ", Protocol.BLOCKING, "smart", "uniform", 0.9, 4, 8, "conservative"),
 )
 
 
@@ -58,9 +62,19 @@ def _diff_main(args: argparse.Namespace) -> int:
                 arbiter_kind=arbiter,
                 traffic_kind=traffic,
                 offered_load=load,
+                flow_control_fidelity=fidelity,
                 seed=args.seed,
             )
-            for kind, protocol, arbiter, traffic, load, radix, slots in CI_GRID
+            for (
+                kind,
+                protocol,
+                arbiter,
+                traffic,
+                load,
+                radix,
+                slots,
+                fidelity,
+            ) in CI_GRID
         ]
     else:
         configs = [

@@ -45,7 +45,6 @@ __all__ = [
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",
-    "resolve_backend",
 ]
 
 #: Recognized backend names, in preference-listing order.
@@ -70,26 +69,22 @@ class SimKernel(ABC):
 
     config: "NetworkConfig"
 
-    @property
-    @abstractmethod
-    def cycle(self) -> int:
-        """Network cycles completed so far."""
+    #: Network cycles completed so far.
+    cycle: int
 
-    @abstractmethod
     def prepare(self, total_cycles: int) -> None:
         """Pre-size internal state for a run of ``total_cycles`` cycles.
 
-        Idempotent; kernels that need no pre-sizing may ignore it.  The
-        numpy kernel uses it to decode the arrival streams up front.
+        Idempotent.  The reference simulator needs no pre-sizing; the
+        numpy kernel decodes the arrival streams up front.
         """
 
     @abstractmethod
     def begin_measurement(self) -> None:
         """Open the measurement window at the *current* cycle.
 
-        Equivalent to the reference ``run`` loop reaching
-        ``cycle == warmup_cycles``: every packet created from this
-        clock on is counted by the meters.
+        Every packet created from this clock on is counted by the
+        meters; a window that is already open keeps its start.
         """
 
     @abstractmethod
@@ -122,7 +117,16 @@ class SimKernel(ABC):
     def run(
         self, warmup_cycles: int = 2000, measure_cycles: int = 10000
     ) -> "SimulationResult":
-        """Warm up, measure, and summarize (reference ``run`` semantics)."""
+        """Warm up, measure, and summarize."""
+        self._run_cycles(warmup_cycles, measure_cycles)
+        return self.finish(warmup_cycles, measure_cycles)
+
+    def _run_cycles(self, warmup_cycles: int, measure_cycles: int) -> None:
+        """Step to the end of the window, opening measurement on the way.
+
+        Packets generated during warm-up never reach the meters; the
+        window opens when the clock reaches ``warmup_cycles``.
+        """
         if warmup_cycles < 0 or measure_cycles < 1:
             raise ConfigurationError("invalid warmup/measure cycle counts")
         total = warmup_cycles + measure_cycles
@@ -131,7 +135,6 @@ class SimKernel(ABC):
             if self.cycle == warmup_cycles:
                 self.begin_measurement()
             self.step()
-        return self.finish(warmup_cycles, measure_cycles)
 
 
 def normalize_backend(name: str) -> str:
@@ -243,30 +246,16 @@ def choose_backend(
     return "reference", reason
 
 
-def resolve_backend(
-    config: "NetworkConfig",
-    backend: str | None = None,
-    *,
-    sanitize: bool = False,
-    trace: bool = False,
-    checkpoint: bool = False,
-) -> str:
-    """The backend :func:`choose_backend` picks, without the reason."""
-    return choose_backend(
-        config, backend, sanitize=sanitize, trace=trace, checkpoint=checkpoint
-    )[0]
-
-
 def make_kernel(config: "NetworkConfig", backend: str | None = None) -> SimKernel:
     """Construct a kernel for ``config``.
 
     ``backend`` forces a backend; ``None`` resolves softly, so configs
     the numpy kernel cannot run get the reference kernel.
     """
-    if resolve_backend(config, backend) == "reference":
-        from repro.kernel.reference import ReferenceKernel
+    if choose_backend(config, backend)[0] == "reference":
+        from repro.network.simulator import OmegaNetworkSimulator
 
-        return ReferenceKernel(config)
+        return OmegaNetworkSimulator(config)
     from repro.kernel.numpy_kernel import NumpyKernel
 
     return NumpyKernel(config)

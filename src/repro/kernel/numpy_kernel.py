@@ -302,7 +302,7 @@ class NumpyKernel(SimKernel):
         self._offsets: Any = None
         self._first: Any = None
 
-        self._cycle = 0
+        self.cycle = 0
         self.measure_start_clock: int | None = None
         self.stage_slots = np.zeros(SV, dtype=i64)
         self.metersL = [Meters(num_ports=N) for _ in range(B)]
@@ -438,10 +438,6 @@ class NumpyKernel(SimKernel):
     # ------------------------------------------------------------------
 
     @property
-    def cycle(self) -> int:
-        return self._cycle
-
-    @property
     def meters(self) -> Meters:
         return self.metersL[0]
 
@@ -505,11 +501,11 @@ class NumpyKernel(SimKernel):
 
     def begin_measurement(self) -> None:
         if self.measure_start_clock is None:
-            self.measure_start_clock = self._cycle * self.clk
+            self.measure_start_clock = self.cycle * self.clk
 
     def step(self) -> None:
-        if self._plan_attempts <= self._cycle:
-            self.prepare(max(64, 2 * (self._cycle + 1)))
+        if self._plan_attempts <= self.cycle:
+            self.prepare(max(64, 2 * (self.cycle + 1)))
         if self.stage_slots.any():
             self._run_stages()
         self._inject()
@@ -520,7 +516,7 @@ class NumpyKernel(SimKernel):
                 # Fold in bounded chunks, so deferred samples of a wide
                 # batch never pile up over a whole run.
                 self._flush_meters()
-        self._cycle += 1
+        self.cycle += 1
 
     def finish(
         self, warmup_cycles: int, measure_cycles: int
@@ -551,14 +547,7 @@ class NumpyKernel(SimKernel):
         self, warmup_cycles: int = 2000, measure_cycles: int = 10000
     ) -> list[SimulationResult]:
         """Run the whole batch and summarize each simulation."""
-        if warmup_cycles < 0 or measure_cycles < 1:
-            raise ConfigurationError("invalid warmup/measure cycle counts")
-        total = warmup_cycles + measure_cycles
-        self.prepare(total)
-        while self._cycle < total:
-            if self._cycle == warmup_cycles:
-                self.begin_measurement()
-            self.step()
+        self._run_cycles(warmup_cycles, measure_cycles)
         return [
             self._result(sim, warmup_cycles, measure_cycles)
             for sim in range(self.B)
@@ -1023,7 +1012,7 @@ class NumpyKernel(SimKernel):
         tail = np.where(tail >= cq, tail - cq, tail)
         slots = qflat * self.CqW + tail
         self._ring_flat[slots] = ids
-        self._arrived_flat[slots] = self._cycle
+        self._arrived_flat[slots] = self.cycle
         qlen_flat[qflat] += 1
         occ_flat[oflat] += 1
         recv_flat = self._recv_flat
@@ -1149,7 +1138,7 @@ class NumpyKernel(SimKernel):
             return
         created = self.pk_created[ids]
         selected = created >= ms
-        delivered_at = (self._cycle + 1) * self.clk
+        delivered_at = (self.cycle + 1) * self.clk
         injected = self.pk_injected[ids]
         # Defer the Welford replay: samples are already in reference
         # order (cycle-major, then the sort above), so per-sim streams
@@ -1203,7 +1192,7 @@ class NumpyKernel(SimKernel):
                     sims_p * self._stride + self.next_idv[sims_p] + within
                 )
                 self.next_idv += per_sim
-            created = self._cycle * self.clk + offsets
+            created = self.cycle * self.clk + offsets
             self.pk_dest[ids] = destinations
             self.pk_created[ids] = created
             self.src_gen[ports] += 1
@@ -1243,14 +1232,14 @@ class NumpyKernel(SimKernel):
             ids = head_ids[accepted]
             oa = oflat0[accepted]
             va = sources // self.N
-            self.pk_injected[ids] = (self._cycle + 1) * self.clk
+            self.pk_injected[ids] = (self.cycle + 1) * self.clk
             qa = qflat0[accepted]
             cq = self.Cq if self._cq_uniform else self._cq_port[sources]
             tail = self._qhead_flat[qa] + qlen_flat[qa]
             tail = np.where(tail >= cq, tail - cq, tail)
             slots = qa * self.CqW + tail
             self._ring_flat[slots] = ids
-            self._arrived_flat[slots] = self._cycle
+            self._arrived_flat[slots] = self.cycle
             qlen_flat[qa] += 1
             occ_flat[oa] += 1
             recv_flat = self._recv_flat
@@ -1267,7 +1256,8 @@ class NumpyKernel(SimKernel):
             slen[sources] -= 1
 
     # ------------------------------------------------------------------
-    # Packed state (must match ReferenceKernel.packed_state byte-for-byte)
+    # Packed state (must match OmegaNetworkSimulator.packed_state
+    # byte for byte)
     # ------------------------------------------------------------------
 
     def _packed_entry(self, packet_id: int, base: int) -> list[Any]:
@@ -1354,7 +1344,7 @@ class NumpyKernel(SimKernel):
                 }
             )
         return {
-            "cycle": self._cycle,
+            "cycle": self.cycle,
             "measure_start_clock": self.measure_start_clock,
             "stage_slots": [
                 int(self.stage_slots[s * B + sim]) for s in range(self.S)

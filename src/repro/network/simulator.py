@@ -36,6 +36,7 @@ from repro.core.buffer import SwitchBuffer
 from repro.core.packet import Packet, PacketFactory
 from repro.core.registry import make_buffer_factory
 from repro.errors import BufferFullError, ConfigurationError, SimulationError
+from repro.kernel.base import SimKernel
 from repro.network.metrics import Meters, SimulationResult
 from repro.network.sources import Sink, Source
 from repro.network.topology import OmegaTopology
@@ -181,8 +182,14 @@ class _StageLink:
     input_port: int
 
 
-class OmegaNetworkSimulator:
-    """Cycle-by-cycle simulation of one :class:`NetworkConfig`."""
+class OmegaNetworkSimulator(SimKernel):
+    """Cycle-by-cycle simulation of one :class:`NetworkConfig`.
+
+    The semantics oracle and, as is, the ``"reference"``
+    :class:`~repro.kernel.base.SimKernel`.
+    """
+
+    name = "reference"
 
     def __init__(self, config: NetworkConfig) -> None:
         if config.flow_control_fidelity not in ("precise", "conservative"):
@@ -559,39 +566,34 @@ class OmegaNetworkSimulator:
         during measurement but still in flight at the end are simply not
         counted as delivered (standard open-loop methodology).
 
-        With both ``checkpoint_every`` and ``checkpoint_path`` set, a
-        full :meth:`snapshot` is written (atomically) to
-        ``checkpoint_path`` every ``checkpoint_every`` cycles; a run
-        restored from such a checkpoint (:func:`resume_run`) continues
-        here — ``self.cycle`` may already be non-zero — and finishes
-        bit-identical to an uninterrupted run.
+        With ``checkpoint_every`` and ``checkpoint_path`` set (one
+        without the other raises :class:`ConfigurationError`), a full
+        :meth:`snapshot` is written (atomically) to ``checkpoint_path``
+        every ``checkpoint_every`` cycles; a run restored from such a
+        checkpoint (:func:`resume_run`) continues here — ``self.cycle``
+        may already be non-zero — and finishes bit-identical to an
+        uninterrupted run.
         """
         if warmup_cycles < 0 or measure_cycles < 1:
             raise ConfigurationError("invalid warmup/measure cycle counts")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be >= 1")
+        _check_checkpoint_pair(checkpoint_every, checkpoint_path)
         total_cycles = warmup_cycles + measure_cycles
         if self.cycle > total_cycles:
             raise ConfigurationError(
                 f"simulator already at cycle {self.cycle}, beyond the "
                 f"requested {total_cycles}-cycle window"
             )
-        if checkpoint_every is not None and checkpoint_path is not None:
-            every: int | None = checkpoint_every
-            target: Path | None = Path(checkpoint_path)
-        else:
-            every = None
-            target = None
+        target = None if checkpoint_path is None else Path(checkpoint_path)
         exit_at = os.environ.get(CHECKPOINT_EXIT_ENV)
         while self.cycle < total_cycles:
             if self.cycle == warmup_cycles:
                 self.begin_measurement()
             self.step()
             if (
-                every is not None
-                and target is not None
+                target is not None
+                and checkpoint_every is not None
                 and self.cycle < total_cycles
-                and self.cycle % every == 0
+                and self.cycle % checkpoint_every == 0
             ):
                 self.save_checkpoint(
                     target,
@@ -603,7 +605,7 @@ class OmegaNetworkSimulator:
                     # Test hook: die like a killed worker, leaving the
                     # just-written checkpoint as the recovery point.
                     os._exit(CHECKPOINT_EXIT_CODE)
-        return self.result(warmup_cycles, measure_cycles)
+        return self.finish(warmup_cycles, measure_cycles)
 
     def begin_measurement(self) -> None:
         """Open the measurement window at the current cycle.
@@ -614,7 +616,7 @@ class OmegaNetworkSimulator:
         if self._measure_start_clock is None:
             self._measure_start_clock = self.cycle * CYCLE_CLOCKS
 
-    def result(
+    def finish(
         self, warmup_cycles: int, measure_cycles: int
     ) -> SimulationResult:
         """Summarize the run as a :class:`SimulationResult`."""
@@ -631,6 +633,69 @@ class OmegaNetworkSimulator:
             seed=self.config.seed,
             meters=self.meters,
         )
+
+    def packed_state(self) -> dict[str, Any]:
+        """The backend-comparable state (:meth:`SimKernel.packed_state`).
+
+        Buffers pack their *logical* queues — for the DAMQ, the
+        pointer-RAM list order of each destination, not the physical
+        slot indices: which free slot a packet landed in is unobservable,
+        so backends may manage free space differently (DESIGN §12).
+        """
+        switches = [
+            [
+                {
+                    "occupancy": switch.occupancy,
+                    "received": switch.packets_received,
+                    "forwarded": switch.packets_forwarded,
+                    **switch.arbiter.snapshot_state(),
+                    "lengths": [
+                        list(buffer.queue_lengths()) for buffer in switch.buffers
+                    ],
+                    "queues": [
+                        [
+                            [
+                                [
+                                    packet.packet_id,
+                                    packet.destination,
+                                    packet.created_at,
+                                    packet.injected_at,
+                                ]
+                                for packet in queue
+                            ]
+                            for queue in buffer.logical_queues()
+                        ]
+                        for buffer in switch.buffers
+                    ],
+                }
+                for switch in row
+            ]
+            for row in self.switches
+        ]
+        sources = [
+            {
+                "generated": source.generated,
+                "stalled": source.stalled_cycles,
+                "queue": [
+                    [packet.packet_id, packet.destination, packet.created_at]
+                    for packet in source.queue
+                ],
+            }
+            for source in self.sources
+        ]
+        return {
+            "cycle": self.cycle,
+            "measure_start_clock": self._measure_start_clock,
+            "stage_slots": list(self._stage_slots),
+            "factory_next": self.factory.snapshot_state(),
+            "switches": switches,
+            "sources": sources,
+            "sinks": [
+                {"received": sink.received, "misrouted": sink.misrouted}
+                for sink in self.sinks
+            ],
+            "meters": self.meters.snapshot_state(),
+        }
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -743,7 +808,7 @@ class OmegaNetworkSimulator:
         path: str | Path,
         warmup_cycles: int,
         measure_cycles: int,
-        checkpoint_every: int | None = None,
+        checkpoint_every: int,
     ) -> Path:
         """Write a resumable checkpoint file (atomic replace).
 
@@ -778,6 +843,19 @@ class OmegaNetworkSimulator:
             for switch in row
             for buffer in switch.buffers
         )
+
+
+def _check_checkpoint_pair(
+    checkpoint_every: int | None, checkpoint_path: str | Path | None
+) -> None:
+    """Refuse a checkpoint cadence without a file, or a file without one."""
+    if (checkpoint_every is None) != (checkpoint_path is None):
+        raise ConfigurationError(
+            "checkpointing needs both checkpoint_every and a checkpoint "
+            "path; got only one"
+        )
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ConfigurationError("checkpoint_every must be >= 1")
 
 
 def make_simulator(
@@ -857,18 +935,16 @@ def simulate(
     :func:`repro.kernel.base.choose_backend`.
     """
     from repro.instrument import env_instrumentation
-    from repro.kernel.base import resolve_backend
+    from repro.kernel.base import choose_backend
 
+    _check_checkpoint_pair(checkpoint_every, checkpoint_path)
     env = env_instrumentation()
-    checkpointing = (
-        checkpoint_every is not None and checkpoint_path is not None
-    )
-    resolved = resolve_backend(
+    resolved, _fallback = choose_backend(
         config,
         backend,
         sanitize=env.sanitize if sanitize is None else sanitize,
         trace=env.tracing,
-        checkpoint=checkpointing,
+        checkpoint=checkpoint_every is not None,
     )
     if resolved == "numpy":
         from repro.kernel.numpy_kernel import NumpyKernel

@@ -74,6 +74,8 @@ class JobSpec:
         quick = payload.get("quick", True)
         if not isinstance(quick, bool):
             raise ConfigurationError("'quick' must be a boolean")
+        if not isinstance(payload.get("wait", False), bool):
+            raise ConfigurationError("'wait' must be a boolean")
         seed = payload.get("seed", 1988)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigurationError("'seed' must be an integer")

@@ -84,6 +84,15 @@ class TestHttpSurface:
         assert status == 400
         assert "unknown experiment" in document["error"]
 
+    @pytest.mark.parametrize("field", ["wait", "quick"])
+    def test_non_boolean_flag_400(self, client, field):
+        # A truthy string must not pass for true: "false" would block.
+        status, document, _ = client.request(
+            "POST", "/v1/jobs", {"experiment": "figure1", field: "false"}
+        )
+        assert status == 400
+        assert f"'{field}' must be a boolean" in document["error"]
+
     def test_non_json_body_400(self, client):
         connection = http.client.HTTPConnection(
             client.host, client.port, timeout=30

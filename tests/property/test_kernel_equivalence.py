@@ -28,7 +28,8 @@ configs = st.fixed_dictionaries(
         "offered_load": st.sampled_from([0.1, 0.5, 0.9, 1.0]),
         "protocol": st.sampled_from([Protocol.BLOCKING, Protocol.DISCARDING]),
         "arbiter_kind": st.sampled_from(["smart", "dumb"]),
-        "traffic_kind": st.sampled_from(["uniform", "hotspot"]),
+        "traffic_kind": st.sampled_from(["uniform", "hotspot", "permutation"]),
+        "flow_control_fidelity": st.sampled_from(["precise", "conservative"]),
         "seed": st.integers(min_value=0, max_value=10_000),
         # SAMQ statically partitions capacity across the radix-4 output
         # ports, so slots must stay divisible by 4.

@@ -237,6 +237,15 @@ def test_activate_restores_context_on_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_half_a_checkpoint_pair_is_refused(tmp_path):
+    from repro.experiments.runner import run_experiment
+
+    with pytest.raises(ConfigurationError, match="checkpoint_dir"):
+        CacheContext(None, "exp", checkpoint_dir=tmp_path)
+    with pytest.raises(ConfigurationError, match="checkpoint_dir"):
+        run_experiment("table1", quick=True, checkpoint_every=100)
+
+
 def test_cli_stats_clear_verify(tmp_path, capsys):
     root = tmp_path / "cache"
     cache = ResultCache(root)

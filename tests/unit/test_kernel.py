@@ -10,11 +10,11 @@ from repro.kernel import arrivals
 from repro.kernel.base import (
     BACKENDS,
     DEFAULT_BACKEND,
+    SimKernel,
     choose_backend,
     make_kernel,
     normalize_backend,
     numpy_unsupported_reason,
-    resolve_backend,
 )
 from repro.network import NetworkConfig
 from repro.switch.flow_control import Protocol
@@ -51,12 +51,12 @@ class TestResolveBackend:
 
     def test_default_applies_softly(self):
         config = NetworkConfig(**QUICK)
-        assert resolve_backend(config) == "numpy"
+        assert choose_backend(config)[0] == "numpy"
         # Instrumentation the numpy kernel cannot host: the soft
         # default yields to the reference kernel without complaint.
-        assert resolve_backend(config, sanitize=True) == "reference"
-        assert resolve_backend(config, trace=True) == "reference"
-        assert resolve_backend(config, checkpoint=True) == "reference"
+        assert choose_backend(config, sanitize=True)[0] == "reference"
+        assert choose_backend(config, trace=True)[0] == "reference"
+        assert choose_backend(config, checkpoint=True)[0] == "reference"
 
     @pytest.mark.parametrize(
         "flags",
@@ -64,16 +64,16 @@ class TestResolveBackend:
     )
     def test_forced_numpy_with_instrumentation_raises(self, flags):
         with pytest.raises(ConfigurationError):
-            resolve_backend(NetworkConfig(**QUICK), "numpy", **flags)
+            choose_backend(NetworkConfig(**QUICK), "numpy", **flags)
 
     def test_forced_numpy_on_unsupported_config_raises(self):
         config = NetworkConfig(packet_size=4, **QUICK)
         with pytest.raises(ConfigurationError):
-            resolve_backend(config, "numpy")
+            choose_backend(config, "numpy")
 
     def test_soft_preference_on_unsupported_config_falls_back(self):
         config = NetworkConfig(serialize_links=True, **QUICK)
-        assert resolve_backend(config) == "reference"
+        assert choose_backend(config)[0] == "reference"
 
     def test_radix_beyond_the_arbitration_key_stays_on_reference(self):
         from repro.network.simulator import simulate
@@ -90,10 +90,9 @@ class TestResolveBackend:
             )
 
     def test_forced_reference_always_works(self):
-        assert (
-            resolve_backend(NetworkConfig(**QUICK), "reference", sanitize=True)
-            == "reference"
-        )
+        assert choose_backend(
+            NetworkConfig(**QUICK), "reference", sanitize=True
+        ) == ("reference", None)
 
 
 class TestUnsupportedReason:
@@ -144,13 +143,13 @@ class TestArchZooGating:
         with pytest.raises(ConfigurationError, match="CQ"):
             make_kernel(config, "numpy")
         with pytest.raises(ConfigurationError, match="CQ"):
-            resolve_backend(config, "numpy")
+            choose_backend(config, "numpy")
 
     def test_soft_preference_falls_back_to_reference(self):
         arch = NetworkConfig(buffer_kind="DAMQ-RSV", **self.ARCH)
-        assert resolve_backend(arch) == "reference"
+        assert choose_backend(arch)[0] == "reference"
         paper = NetworkConfig(buffer_kind="DAMQ", **self.ARCH)
-        assert resolve_backend(paper) == "numpy"
+        assert choose_backend(paper)[0] == "numpy"
 
     def test_reference_kernel_runs_arch_buffers(self):
         config = NetworkConfig(
@@ -161,6 +160,15 @@ class TestArchZooGating:
 
 
 class TestMakeKernel:
+    def test_the_reference_kernel_is_the_simulator(self):
+        from repro.network.simulator import OmegaNetworkSimulator
+
+        config = NetworkConfig(**QUICK)
+        assert isinstance(OmegaNetworkSimulator(config), SimKernel)
+        kernel = make_kernel(config, "reference")
+        assert type(kernel) is OmegaNetworkSimulator
+        assert kernel.name == "reference"
+
     def test_reference_kernel_runs_and_matches_simulator(self):
         from repro.network.simulator import simulate
 
@@ -216,7 +224,7 @@ class TestDecodeRuleProbe:
     def test_forced_numpy_raises_on_mismatch(self, planted):
         config = NetworkConfig(**QUICK)
         with pytest.raises(ConfigurationError, match="decoding rules"):
-            resolve_backend(config, "numpy")
+            choose_backend(config, "numpy")
         with pytest.raises(ConfigurationError, match="decoding rules"):
             make_kernel(config, "numpy")
         from repro.kernel.numpy_kernel import NumpyKernel

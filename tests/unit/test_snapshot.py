@@ -257,6 +257,23 @@ def test_run_validates_checkpoint_cadence():
         )
 
 
+def test_run_refuses_a_checkpoint_path_without_a_cadence(tmp_path):
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(ConfigurationError, match="checkpoint_every"):
+        OmegaNetworkSimulator(config()).run(10, 30, checkpoint_path=path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [dict(checkpoint_every=10), dict(checkpoint_path="unused.ckpt")],
+)
+def test_simulate_refuses_half_a_checkpoint_pair(pair):
+    # Neither half may silently run an uncheckpointed (numpy) simulation.
+    with pytest.raises(ConfigurationError, match="checkpoint_every"):
+        simulate(config(), warmup_cycles=10, measure_cycles=30, **pair)
+
+
 def test_run_rejects_a_simulator_past_the_window():
     simulator = OmegaNetworkSimulator(config())
     for _ in range(30):
