@@ -35,10 +35,13 @@ from repro.switch.flow_control import Protocol
 #: packets out of creation order, so its read order must follow arrival,
 #: not packet id.  Rows six and seven run the other switch sizes of the
 #: radix experiment: 2x2 switches in six stages, 8x8 switches in two.
-#: The last row runs conservative flow control near saturation, where
-#: an upstream switch only knows whether a packet of *any* destination
-#: would fit downstream.  Each row is (kind, protocol, arbiter, traffic,
-#: load, radix, slots, flow-control fidelity).
+#: Row eight runs conservative flow control near saturation, where an
+#: upstream switch only knows whether a packet of *any* destination
+#: would fit downstream.  The last row is saturated hot-spot traffic on
+#: a queue-level, multi-read buffer, what table 6 runs; its run spans
+#: several arrival windows and reuses every packet slot many times.
+#: Each row is (kind, protocol, arbiter, traffic, load, radix, slots,
+#: flow-control fidelity).
 CI_GRID = (
     ("FIFO", Protocol.BLOCKING, "smart", "uniform", 0.5, 4, 4, "precise"),
     ("DAMQ", Protocol.BLOCKING, "dumb", "uniform", 0.7, 4, 4, "precise"),
@@ -48,34 +51,33 @@ CI_GRID = (
     ("SAMQ", Protocol.BLOCKING, "smart", "uniform", 0.7, 2, 4, "precise"),
     ("SAFC", Protocol.BLOCKING, "dumb", "uniform", 0.7, 8, 16, "precise"),
     ("SAMQ", Protocol.BLOCKING, "smart", "uniform", 0.9, 4, 8, "conservative"),
+    ("SAFC", Protocol.BLOCKING, "smart", "hotspot", 1.0, 4, 4, "precise"),
 )
+
+
+def ci_configs(seed: int) -> list[NetworkConfig]:
+    """The :data:`CI_GRID` rows as configurations at ``seed``."""
+    return [
+        NetworkConfig(
+            buffer_kind=kind,
+            radix=radix,
+            slots_per_buffer=slots,
+            protocol=protocol,
+            arbiter_kind=arbiter,
+            traffic_kind=traffic,
+            offered_load=load,
+            flow_control_fidelity=fidelity,
+            seed=seed,
+        )
+        for (
+            kind, protocol, arbiter, traffic, load, radix, slots, fidelity
+        ) in CI_GRID
+    ]
 
 
 def _diff_main(args: argparse.Namespace) -> int:
     if args.ci:
-        configs = [
-            NetworkConfig(
-                buffer_kind=kind,
-                radix=radix,
-                slots_per_buffer=slots,
-                protocol=protocol,
-                arbiter_kind=arbiter,
-                traffic_kind=traffic,
-                offered_load=load,
-                flow_control_fidelity=fidelity,
-                seed=args.seed,
-            )
-            for (
-                kind,
-                protocol,
-                arbiter,
-                traffic,
-                load,
-                radix,
-                slots,
-                fidelity,
-            ) in CI_GRID
-        ]
+        configs = ci_configs(args.seed)
     else:
         configs = [
             NetworkConfig(

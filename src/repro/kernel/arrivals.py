@@ -1,4 +1,4 @@
-"""Pre-decoded arrival streams for the vectorized kernel.
+"""Windowed batch decoding of the sources' arrival streams.
 
 The reference simulator draws its traffic one scalar call at a time:
 each non-stalled source attempts a Bernoulli coin per cycle
@@ -6,16 +6,23 @@ each non-stalled source attempts a Bernoulli coin per cycle
 construction) and, on a hit, draws the packet's destination and a
 sub-cycle creation offset from the *same* per-source stream.  Because a
 stalled source draws nothing, the draw sequence is a pure function of
-the number of attempts — it does not depend on simulation state.  That
-makes the whole stream decodable up front: this module replays numpy's
-bit-level decoding rules directly against the raw PCG64 word stream of
-each source and emits, per source, the arrival schedule
-``(miss-gap, destination, offset)`` the scalar path would have produced.
+the number of attempts — it does not depend on simulation state.
 
-Decoding rules (validated against numpy's implementation; the
-equivalence tests in ``tests/property/test_kernel_equivalence.py`` re-verify
-them on every run, and :func:`decode_rules_mismatch` re-checks them once
-per process against whatever numpy is installed before the kernel runs):
+:class:`ArrivalDecoder` replays numpy's bit-level decoding rules against
+the raw PCG64 words of every source of a kernel batch at once: one draw
+step makes one attempt for all its sources — coin, hot draw,
+destination and offset — and :func:`decode_arrivals` runs
+:data:`WINDOW` steps and emits the window's arrivals.  Between calls
+the decoder keeps each source's word cursor (its bit generator, rewound
+past the words the window drew ahead but did not use) and its cached
+half-word, so a kernel holds one window of arrivals at a time, however
+long it runs.
+
+Decoding rules (validated against numpy's implementation;
+``tests/property/test_arrival_decoder.py`` checks the decoder against
+the reference sources, and :func:`decode_rules_mismatch` re-checks the
+rules once per process against whatever numpy is installed before the
+kernel runs):
 
 * ``Generator.random()`` consumes one 64-bit word ``w`` and yields
   ``(w >> 11) * 2.0**-53``; it never touches the bounded-integer cache.
@@ -25,32 +32,47 @@ per process against whatever numpy is installed before the kernel runs):
   ``m >> 32``, rejected (draw another half) iff
   ``(m & 0xFFFFFFFF) < (2**32 - n) % n``.
 
-All raw words flow from the same seeded streams the reference kernel
+All raw words flow from the same seeded streams the reference simulator
 uses (``RandomStream(seed, "omega").spawn(f"source{port}")``), so the
 two backends consume byte-identical RNG state.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ConfigurationError
+import numpy as np
+
 from repro.network.simulator import CYCLE_CLOCKS
+from repro.network.traffic import PermutationTraffic, make_traffic
 from repro.utils.rng import _seed_for
 
 if TYPE_CHECKING:
     from repro.network.simulator import NetworkConfig
 
-__all__ = ["ArrivalPlan", "decode_arrivals", "decode_rules_mismatch"]
+__all__ = [
+    "WINDOW",
+    "ArrivalDecoder",
+    "decode_arrivals",
+    "decode_rules_mismatch",
+]
 
-_MASK32 = 0xFFFFFFFF
+#: Attempts per source that one :func:`decode_arrivals` call decodes.  A
+#: source makes at most one attempt per cycle, so a window covers at
+#: least this many cycles.
+WINDOW = 100
 
-#: Gap sentinel for "no further arrivals decoded": larger than any
-#: possible attempt count, so the countdown never reaches zero.
-GAP_SENTINEL = 1 << 62
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+#: State-transition period of PCG64; advancing by ``_PERIOD - k`` steps
+#: a stream back by ``k`` words.
+_PERIOD = 1 << 128
+
+#: Words drawn ahead per source beyond a window's worst case (one word
+#: per draw), which Lemire rejections consume; more are drawn when a
+#: window's rejections use them up.
+_SPARE = 8
 
 
 def _lemire_threshold(n: int) -> int:
@@ -58,46 +80,207 @@ def _lemire_threshold(n: int) -> int:
     return ((1 << 32) - n) % n
 
 
-class _Cursor:
-    """Scalar word-stream decoder with the half-word cache."""
+class _WordCursors:
+    """Raw PCG64 word streams drawn together, one row per stream.
 
-    __slots__ = ("words", "pos", "has_half", "half")
+    :meth:`_load` draws a block of words ahead for a set of rows;
+    :meth:`double` and :meth:`bounded` then make one draw for every row
+    of a mask, applying numpy's rules above (the bounded draw keeps each
+    row's cached half-word), and :meth:`_release` rewinds every stream
+    to just past the words it used.
+    """
 
-    def __init__(self, words: list[int]) -> None:
-        self.words = words
-        self.pos = 0
-        self.has_half = False
-        self.half = 0
+    def __init__(self, generators: list[Any]) -> None:
+        self._generators = generators
+        self._has_half = np.zeros(len(generators), dtype=bool)
+        self._half = np.zeros(len(generators), dtype=np.uint64)
 
-    def double(self) -> float:
-        words = self.words
-        if self.pos >= len(words):
-            raise _NeedMoreWords
-        word = words[self.pos]
-        self.pos += 1
-        return (word >> 11) * 2.0**-53
+    def _load(self, rows: Any, count: int) -> None:
+        """Draw ``count`` words ahead for each of ``rows``."""
+        self._rows = rows
+        self._words = self._draw(count)
+        self._cursor = np.arange(rows.size, dtype=np.int64) * count
+        # Rejection rounds left before the block grows; one spare word
+        # stays unread, so every row's cursor stays inside its row.
+        self._spare = _SPARE - 1
+        self._w_has = self._has_half[rows]
+        self._w_half = self._half[rows]
 
-    def bounded(self, n: int, threshold: int) -> int:
-        while True:
-            if self.has_half:
-                half = self.half
-                self.has_half = False
+    def _draw(self, count: int) -> Any:
+        generators = self._generators
+        return np.concatenate(
+            [generators[row].random_raw(count) for row in self._rows.tolist()]
+        ).reshape(self._rows.size, count)
+
+    def _extend(self) -> None:
+        """Draw ``_SPARE`` more words for every row, keeping the cursors."""
+        rows, width = self._words.shape
+        offsets = self._cursor - np.arange(rows, dtype=np.int64) * width
+        self._words = np.concatenate([self._words, self._draw(_SPARE)], axis=1)
+        self._cursor = np.arange(rows, dtype=np.int64) * (width + _SPARE) + offsets
+        self._spare += _SPARE
+
+    def _release(self) -> None:
+        """Rewind every row's stream past its unused words; keep the halves."""
+        rows, width = self._words.shape
+        unused = np.arange(1, rows + 1, dtype=np.int64) * width - self._cursor
+        generators = self._generators
+        for row, count in zip(self._rows.tolist(), unused.tolist()):
+            generators[row].advance(_PERIOD - count)
+        self._has_half[self._rows] = self._w_has
+        self._half[self._rows] = self._w_half
+        del self._words, self._cursor, self._w_has, self._w_half, self._rows
+
+    def _next_words(self, mask: Any) -> Any:
+        """Every row's next word; the masked rows consume theirs."""
+        words = self._words.reshape(-1)[self._cursor]
+        self._cursor += mask
+        return words
+
+    def double(self, mask: Any) -> Any:
+        """One ``random()`` for every masked row (garbage elsewhere)."""
+        return (self._next_words(mask) >> 11) * 2.0**-53
+
+    def bounded(self, mask: Any, bound: int) -> Any:
+        """One ``integers(0, bound)`` for every masked row (garbage
+        elsewhere)."""
+        has = self._w_has
+        fresh = mask & ~has
+        words = self._next_words(fresh)
+        halves = np.where(has, self._w_half, words & _MASK32)
+        np.copyto(self._w_half, words >> 32, where=fresh)
+        self._w_has = has ^ mask
+        product = halves * np.uint64(bound)
+        values = (product >> 32).astype(np.int64)
+        threshold = _lemire_threshold(bound)
+        if threshold:
+            rejected = mask & ((product & _MASK32) < threshold)
+            if rejected.any():
+                # Each redraw consumes at most one word per row.
+                if not self._spare:
+                    self._extend()
+                self._spare -= 1
+                np.copyto(values, self.bounded(rejected, bound), where=rejected)
+        return values
+
+
+class ArrivalDecoder(_WordCursors):
+    """The arrival draws of every source of a batch, decoded together.
+
+    Source ``p = b * N + n`` is port ``n`` of configuration ``b``.
+    ``decoded[p]`` counts the attempts decoded so far for source ``p``.
+    """
+
+    def __init__(self, configs: list["NetworkConfig"]) -> None:
+        num_ports = configs[0].num_ports
+        patterns = [
+            make_traffic(config.traffic_kind, num_ports, config.hot_fraction)
+            for config in configs
+        ]
+        super().__init__(
+            [
+                np.random.PCG64(_seed_for(config.seed, f"omega/source{port}"))
+                for config in configs
+                for port in range(num_ports)
+            ]
+        )
+        self.num_ports = num_ports
+        self.load = np.repeat([c.offered_load for c in configs], num_ports)
+        hot_fraction = np.repeat([c.hot_fraction for c in configs], num_ports)
+        kind = np.repeat([pattern.kind for pattern in patterns], num_ports)
+        # The hot module is output 0; a permutation's destination is
+        # draw-free.
+        self.fixed = np.concatenate(
+            [
+                pattern.mapping
+                if isinstance(pattern, PermutationTraffic)
+                else [0] * num_ports
+                for pattern in patterns
+            ]
+        ).astype(np.int64)
+        self.live = self.load > 0.0
+        # RandomStream.bernoulli skips the draw at exactly 0.0 and 1.0,
+        # for the coin and for the hot-spot choice alike.
+        self.coin = self.live & (self.load < 1.0)
+        self.hot_fraction = hot_fraction
+        self.hot_draw = (
+            (kind == "hotspot") & (hot_fraction > 0.0) & (hot_fraction < 1.0)
+        )
+        # Uniform traffic draws a destination on every arrival, and so
+        # does hot-spot traffic that never picks the hot module.
+        self.dest_draw = (kind == "uniform") | (
+            (kind == "hotspot") & (hot_fraction <= 0.0)
+        )
+        self.decoded = np.zeros(self.load.size, dtype=np.int64)
+
+    def _window(self, rows: Any) -> tuple[Any, Any, Any]:
+        """:data:`WINDOW` attempts of ``rows``: ``[attempt, row]`` arrays
+        of the hit flags, destinations and offsets."""
+        # An attempt draws at most a coin, a hot-spot choice and one
+        # word of half-words.
+        per_attempt = 1 + self.coin[rows] + self.hot_draw[rows]
+        count = WINDOW * int(per_attempt.max()) + _SPARE
+        self._load(rows, count)
+        coin = self.coin[rows]
+        any_coin = bool(coin.any())
+        always = ~coin
+        load = self.load[rows]
+        hot_draw = self.hot_draw[rows]
+        any_hot = bool(hot_draw.any())
+        hot_fraction = self.hot_fraction[rows]
+        dest_draw = self.dest_draw[rows]
+        any_dest = any_hot or bool(dest_draw.any())
+        fixed = self.fixed[rows]
+        hits = np.empty((WINDOW, rows.size), dtype=bool)
+        dests = np.empty((WINDOW, rows.size), dtype=np.int64)
+        offsets = np.empty((WINDOW, rows.size), dtype=np.int64)
+        num_ports = self.num_ports
+        for step in range(WINDOW):
+            hit = (self.double(coin) < load) | always if any_coin else always
+            if any_dest:
+                drawn = hit & dest_draw
+                if any_hot:
+                    hot = hit & hot_draw
+                    drawn |= hot & (self.double(hot) >= hot_fraction)
+                dests[step] = np.where(
+                    drawn, self.bounded(drawn, num_ports), fixed
+                )
             else:
-                words = self.words
-                if self.pos >= len(words):
-                    raise _NeedMoreWords
-                word = words[self.pos]
-                self.pos += 1
-                half = word & _MASK32
-                self.half = word >> 32
-                self.has_half = True
-            m = half * n
-            if (m & _MASK32) >= threshold:
-                return m >> 32
+                dests[step] = fixed
+            offsets[step] = self.bounded(hit, CYCLE_CLOCKS)
+            hits[step] = hit
+        self._release()
+        self.decoded[rows] += WINDOW
+        return hits, dests, offsets
 
 
-class _NeedMoreWords(Exception):
-    """Raised when the pre-drawn raw words run out mid-decode."""
+def decode_arrivals(
+    decoder: ArrivalDecoder, attempts: Any
+) -> tuple[Any, Any, Any, Any]:
+    """Decode the next window of every source that may need one.
+
+    ``attempts[p]`` is the number of attempts source ``p`` has made.
+    Every live source whose decoded attempts lead that count by less
+    than :data:`WINDOW` gets its next :data:`WINDOW` attempts decoded,
+    so afterwards each source can make :data:`WINDOW` more attempts
+    before it runs out, while no source leads by :data:`WINDOW` * 2 or
+    more.  Returns the arrivals as ``(source, attempt, destination,
+    offset)`` arrays ordered by source, then attempt; ``attempt`` is the
+    1-based attempt total at which the arrival happens.
+    """
+    rows = np.flatnonzero(decoder.live & (decoder.decoded - attempts < WINDOW))
+    if rows.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    start = decoder.decoded[rows]
+    hits, dests, offsets = decoder._window(rows)
+    row, step = hits.T.nonzero()
+    return (
+        rows[row],
+        start[row] + step + 1,
+        dests[step, row],
+        offsets[step, row],
+    )
 
 
 #: The decode-rule probe's draw sequence: ``None`` is one ``random()``,
@@ -115,251 +298,30 @@ _PROBE_DRAWS: tuple[int | None, ...] = (
 def decode_rules_mismatch() -> str | None:
     """Where this numpy's draws leave the decoding rules (``None``: nowhere).
 
-    Decodes :data:`_PROBE_DRAWS` from the raw PCG64 words with the rules
-    above and makes the same draws through
+    Replays :data:`_PROBE_DRAWS` through the decoder's own draw steps
+    over a raw PCG64 stream and makes the same draws through
     :class:`~repro.utils.rng.RandomStream`, the way the reference
     simulator makes them.  Cached: a process runs it once, at its first
     numpy decision, never at import.
     """
-    import numpy
-
     from repro.utils.rng import RandomStream
 
     seed, name = 1988, "kernel/decode-probe"
     stream = RandomStream(seed, name)
-    cursor = _Cursor(_raw_words(seed, name, 4 * len(_PROBE_DRAWS)).tolist())
+    cursors = _WordCursors([np.random.PCG64(_seed_for(seed, name))])
+    cursors._load(np.zeros(1, dtype=np.int64), len(_PROBE_DRAWS) + _SPARE)
+    every = np.ones(1, dtype=bool)
     for index, bound in enumerate(_PROBE_DRAWS):
         if bound is None:
             rule, drawn = "random()", stream.random()
-            decoded: float = cursor.double()
+            decoded: float = float(cursors.double(every)[0])
         else:
             rule, drawn = f"integers(0, {bound})", stream.randint(0, bound)
-            decoded = cursor.bounded(bound, _lemire_threshold(bound))
+            decoded = int(cursors.bounded(every, bound)[0])
         if drawn != decoded:
             return (
-                f"numpy {numpy.__version__} draws {drawn!r} for {rule} at "
+                f"numpy {np.__version__} draws {drawn!r} for {rule} at "
                 f"probe draw {index}, but the kernel's decoding rules give "
                 f"{decoded!r}"
             )
     return None
-
-
-@dataclass
-class ArrivalPlan:
-    """Per-source arrival schedules, padded into rectangular arrays.
-
-    ``gaps[n, k]`` is the number of missed attempts the source makes
-    before its ``k``-th arrival; ``dests``/``offsets`` are the decoded
-    destination and sub-cycle offset.  Column ``counts[n]`` of ``gaps``
-    holds :data:`GAP_SENTINEL` so runtime countdowns past the decoded
-    horizon never fire.  ``attempts`` is the per-source attempt horizon
-    the plan covers.
-    """
-
-    gaps: Any
-    dests: Any
-    offsets: Any
-    counts: Any
-    attempts: int
-
-
-def _raw_words(seed: int, name: str, count: int) -> Any:
-    """The next ``count`` raw 64-bit words of one seeded stream."""
-    import numpy
-
-    return numpy.random.PCG64(_seed_for(seed, name)).random_raw(count)
-
-
-def _decode_scalar(
-    cursor: _Cursor,
-    total_attempts: int,
-    probability: float,
-    kind: str,
-    num_ports: int,
-    cycle_clocks: int,
-    hot_fraction: float,
-    fixed_dest: int,
-) -> tuple[list[int], list[int], list[int]]:
-    """Exact scalar replay of one source's draw sequence."""
-    threshold_dest = _lemire_threshold(num_ports)
-    threshold_off = _lemire_threshold(cycle_clocks)
-    gaps: list[int] = []
-    dests: list[int] = []
-    offsets: list[int] = []
-    miss = 0
-    for _attempt in range(total_attempts):
-        if probability < 1.0:
-            if not cursor.double() < probability:
-                miss += 1
-                continue
-        if kind == "uniform":
-            destination = cursor.bounded(num_ports, threshold_dest)
-        elif kind == "hotspot":
-            # RandomStream.bernoulli skips the draw at exactly 0.0/1.0;
-            # the hot module is output 0.
-            if hot_fraction >= 1.0 or (
-                hot_fraction > 0.0 and cursor.double() < hot_fraction
-            ):
-                destination = 0
-            else:
-                destination = cursor.bounded(num_ports, threshold_dest)
-        else:  # permutation: the mapping is draw-free
-            destination = fixed_dest
-        offset = cursor.bounded(cycle_clocks, threshold_off)
-        gaps.append(miss)
-        miss = 0
-        dests.append(destination)
-        offsets.append(offset)
-    return gaps, dests, offsets
-
-
-def _decode_uniform_vectorized(
-    seed: int,
-    name: str,
-    total_attempts: int,
-    probability: float,
-    num_ports: int,
-    cycle_clocks: int,
-) -> tuple[list[int], Any, Any] | None:
-    """Fast path for uniform traffic; ``None`` defers to the scalar path.
-
-    Uniform arrivals consume exactly one coin word per attempt and one
-    value word per arrival (destination from the low half, offset from
-    the high half, cache left empty) — *unless* a Lemire rejection
-    occurs, which the scalar fallback handles exactly.
-    """
-    import numpy
-
-    threshold_dest = _lemire_threshold(num_ports)
-    threshold_off = _lemire_threshold(cycle_clocks)
-    expected_hits = probability * total_attempts
-    margin = 6 * int(math.sqrt(expected_hits + 1.0)) + 16
-    count = total_attempts + int(expected_hits) + margin
-    words = _raw_words(seed, name, count)
-    gaps: list[int] = []
-    if probability >= 1.0:
-        # The coin short-circuits: every attempt arrives, value words only.
-        value_words = words[:total_attempts]
-        gaps = [0] * total_attempts
-    else:
-        doubles = (words >> numpy.uint64(11)) * 2.0**-53
-        candidates = numpy.flatnonzero(doubles < probability)
-        # A candidate below the scan cursor is a value word that happened
-        # to look like a coin hit.  The cursor always advances to
-        # ``accepted + 2``, and a maximal run of consecutive candidate
-        # indices never straddles that jump (the element after a run is
-        # at least two past its last member), so runs are independent:
-        # within each run exactly the even offsets from the run start are
-        # real coin hits.
-        if candidates.size:
-            starts = numpy.empty(candidates.size, dtype=bool)
-            starts[0] = True
-            numpy.greater(numpy.diff(candidates), 1, out=starts[1:])
-            run_start = candidates[starts]
-            accepted_mask = ((candidates - run_start[numpy.cumsum(starts) - 1]) & 1) == 0
-            pos_arr = candidates[accepted_mask]
-        else:
-            pos_arr = candidates
-        # Attempt k's coin sits at word ``pos_arr[k] - k`` of the attempt
-        # stream (k value words precede it), so the cumulative attempt
-        # count after accepting it is ``pos_arr[k] - k + 1``.
-        counts = numpy.arange(pos_arr.size, dtype=numpy.int64)
-        keep = pos_arr - counts < total_attempts
-        if not keep.all():
-            pos_arr = pos_arr[keep]
-        elif len(words) - pos_arr.size < total_attempts:
-            # Each hit consumes two words and each miss one, so the
-            # stream covers ``len(words) - hits`` attempts in total.
-            return None  # stream shorter than the horizon; rare
-        gap_arr = numpy.diff(pos_arr, prepend=-2) - 2
-        gaps = gap_arr.tolist()
-        value_words = words[pos_arr + 1]
-    low = (value_words & numpy.uint64(_MASK32)).astype(numpy.int64)
-    high = (value_words >> numpy.uint64(32)).astype(numpy.int64)
-    m_dest = low * num_ports
-    m_off = high * cycle_clocks
-    rejected = ((m_dest & _MASK32) < threshold_dest) | (
-        (m_off & _MASK32) < threshold_off
-    )
-    if bool(rejected.any()):
-        return None  # ~1e-9 per half-word; replay exactly in scalar mode
-    return gaps, m_dest >> 32, m_off >> 32
-
-
-def decode_arrivals(config: "NetworkConfig", total_attempts: int) -> ArrivalPlan:
-    """Decode every source's arrival schedule for ``total_attempts``."""
-    import numpy
-
-    from repro.network.traffic import PermutationTraffic, make_traffic
-
-    if total_attempts < 0:
-        raise ConfigurationError("total_attempts cannot be negative")
-    pattern = make_traffic(
-        config.traffic_kind, config.num_ports, config.hot_fraction
-    )
-    mapping = (
-        pattern.mapping if isinstance(pattern, PermutationTraffic) else None
-    )
-    probability = config.offered_load
-    num_ports = config.num_ports
-    per_source: list[tuple[list[int], Any, Any]] = []
-    for port in range(num_ports):
-        name = f"omega/source{port}"
-        if probability <= 0.0:
-            per_source.append(([], [], []))
-            continue
-        decoded: tuple[list[int], Any, Any] | None = None
-        if pattern.kind == "uniform":
-            decoded = _decode_uniform_vectorized(
-                config.seed,
-                name,
-                total_attempts,
-                probability,
-                num_ports,
-                CYCLE_CLOCKS,
-            )
-        if decoded is None:
-            # Exact scalar replay, growing the word window as needed.
-            count = int(total_attempts * (1.0 + 4.0 * probability)) + 64
-            while True:
-                cursor = _Cursor(_raw_words(config.seed, name, count).tolist())
-                try:
-                    decoded = _decode_scalar(
-                        cursor,
-                        total_attempts,
-                        probability,
-                        pattern.kind,
-                        num_ports,
-                        CYCLE_CLOCKS,
-                        config.hot_fraction,
-                        mapping[port] if mapping is not None else 0,
-                    )
-                except _NeedMoreWords:
-                    count *= 2
-                    continue
-                break
-        per_source.append(decoded)
-
-    width = max((len(item[0]) for item in per_source), default=0)
-    gaps = numpy.full(
-        (num_ports, width + 1), GAP_SENTINEL, dtype=numpy.int64
-    )
-    dests = numpy.zeros((num_ports, width + 1), dtype=numpy.int64)
-    offsets = numpy.zeros((num_ports, width + 1), dtype=numpy.int64)
-    counts = numpy.zeros(num_ports, dtype=numpy.int64)
-    for port, (source_gaps, source_dests, source_offsets) in enumerate(
-        per_source
-    ):
-        size = len(source_gaps)
-        counts[port] = size
-        if size:
-            gaps[port, :size] = source_gaps
-            dests[port, :size] = source_dests
-            offsets[port, :size] = source_offsets
-    return ArrivalPlan(
-        gaps=gaps,
-        dests=dests,
-        offsets=offsets,
-        counts=counts,
-        attempts=total_attempts,
-    )

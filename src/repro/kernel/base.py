@@ -42,6 +42,7 @@ __all__ = [
     "SimKernel",
     "batch_group_key",
     "choose_backend",
+    "config_label",
     "make_kernel",
     "normalize_backend",
     "numpy_unsupported_reason",
@@ -73,10 +74,11 @@ class SimKernel(ABC):
     cycle: int
 
     def prepare(self, total_cycles: int) -> None:
-        """Pre-size internal state for a run of ``total_cycles`` cycles.
+        """Get ready to run up to ``total_cycles`` cycles.
 
-        Idempotent.  The reference simulator needs no pre-sizing; the
-        numpy kernel decodes the arrival streams up front.
+        Idempotent.  The reference simulator needs nothing; the numpy
+        kernel decodes its first window of arrivals (``step`` decodes
+        the later ones), so no state is sized by the run's length.
         """
 
     @abstractmethod
@@ -179,6 +181,21 @@ def numpy_unsupported_reason(config: "NetworkConfig") -> str | None:
     if config.retired_slots_per_buffer > 0:
         return "retired buffer slots"
     return None
+
+
+def config_label(config: "NetworkConfig") -> str:
+    """A short label that tells apart the configurations a kernel runs.
+
+    ``kind/protocol/arbiter/traffic@load``, then the network size,
+    switch radix, slots per buffer and flow-control fidelity, e.g.
+    ``SAMQ/blocking/smart/uniform@0.9 64p r4 8s conservative``.
+    """
+    return (
+        f"{config.buffer_kind}/{config.protocol}/{config.arbiter_kind}"
+        f"/{config.traffic_kind}@{config.offered_load:g}"
+        f" {config.num_ports}p r{config.radix} {config.slots_per_buffer}s"
+        f" {config.flow_control_fidelity}"
+    )
 
 
 def batch_group_key(config: "NetworkConfig") -> tuple[Any, ...]:

@@ -29,7 +29,12 @@ from repro.analysis.counterexample import Counterexample
 from repro.analysis.explore import Action, TransitionSystem
 from repro.analysis.properties import PropertyViolation
 from repro.errors import ConfigurationError
-from repro.kernel.base import SimKernel, make_kernel, numpy_unsupported_reason
+from repro.kernel.base import (
+    SimKernel,
+    config_label,
+    make_kernel,
+    numpy_unsupported_reason,
+)
 from repro.network.simulator import NetworkConfig
 
 __all__ = [
@@ -100,11 +105,7 @@ class DiffReport:
         return self.divergence_cycle is None
 
     def describe(self) -> str:
-        label = (
-            f"{self.config.buffer_kind}/{self.config.protocol}"
-            f"/{self.config.arbiter_kind}"
-            f"@{self.config.offered_load:g}"
-        )
+        label = config_label(self.config)
         if self.ok:
             return (
                 f"{label}: equivalent over {self.cycles_compared} cycles"

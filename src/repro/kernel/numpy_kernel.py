@@ -6,13 +6,16 @@ advances every switch of a stage per array operation:
 
 * **Queue rings** — every input buffer, whatever its kind, stores its
   packets in per-destination queues: a ring array ``ring[stage, switch,
-  input, output, slot]`` of packet ids with head/length registers.  The
+  input, output, slot]`` of packet slots with head/length registers.  The
   kinds differ only in how the slot pool is split (one partition per
   output for SAMQ/SAFC, the whole buffer per queue for DAMQ/FIFO) and in
   which heads may be read: a FIFO is the case where only the oldest
   head may leave, found by the arrival cycle stamped on each ring slot.
-  Packet attributes (destination, creation and injection clocks) live
-  in flat pools indexed by packet id.
+  Packet attributes (reference id, destination, creation and injection
+  clocks) live in a pool of packet slots, as many as the sources' queues
+  and every stage buffer can hold at once; generation pops a slot off a
+  free-slot stack and delivery or discard pushes it back, the way the
+  DAMQ buffer itself recycles its slots.
 * **Vectorized arbitration** — the reference arbiter's
   longest-unblocked-queue scan is re-expressed as an argmax over a
   composite key ``(length << 44) | (stale << 4) | (radix-1-output)``
@@ -23,10 +26,11 @@ advances every switch of a stage per array operation:
   once; granted output columns are invalidated between steps, and the
   SAFC's multi-read passes loop until no switch makes progress — the
   same fixpoint the reference while-loop reaches.
-* **Pre-decoded arrivals** — source draw sequences are state-independent
+* **Windowed arrivals** — source draw sequences are state-independent
   (a stalled source draws nothing), so :mod:`repro.kernel.arrivals`
-  decodes each source's raw PCG64 stream up front and injection becomes
-  a vectorized countdown against per-source attempt schedules.
+  decodes every source's raw PCG64 stream ahead, one window of attempts
+  at a time, and injection becomes a vectorized countdown against
+  per-source attempt schedules.
 * **Simulation batching** — the quick/full experiment grids run many
   *structurally identical* configurations (same topology, capacity and
   clocking; different buffer kinds, protocols, loads, seeds, arbiter
@@ -64,15 +68,17 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.kernel.arrivals import (
-    GAP_SENTINEL,
+    WINDOW,
+    ArrivalDecoder,
     decode_arrivals,
     decode_rules_mismatch,
 )
 from repro.kernel.base import (
     SimKernel,
     batch_group_key,
+    config_label,
     numpy_unsupported_reason,
 )
 from repro.network.metrics import Meters, SimulationResult
@@ -108,6 +114,15 @@ _FLUSH_CYCLES = 256
 #: Arrival stamp of an empty queue: later than any real arrival, so an
 #: oldest-head search never picks it.
 _NEVER = np.iinfo(np.int64).max
+
+#: Attempt number of "no further arrival decoded": larger than any
+#: attempt count, so the countdown never reaches it.
+_NO_ARRIVAL = 1 << 62
+
+#: Entries of a source's arrival ring.  A refill leaves every source
+#: less than ``2 * WINDOW`` decoded attempts ahead of the attempts it
+#: made, so its pending arrivals and their ``_NO_ARRIVAL`` end fit.
+_RING = 2 * WINDOW
 
 
 def _cat(parts: tuple[Any, ...]) -> Any:
@@ -255,7 +270,7 @@ class NumpyKernel(SimKernel):
             (p_ar // N) * W + self.entry_w
         ) * R + self.entry_i
 
-        # Buffer state.  Queue rings hold packet ids; per-queue capacity
+        # Buffer state.  Queue rings hold packet slots; per-queue capacity
         # is the whole buffer for the dynamically shared kinds (DAMQ,
         # FIFO) and one partition for the statically partitioned ones.
         self.ring = np.zeros((SV, W, R, R, Cq), dtype=i64)
@@ -286,21 +301,36 @@ class NumpyKernel(SimKernel):
         self.src_gen = np.zeros(self.BN, dtype=i64)
         self.src_stall = np.zeros(self.BN, dtype=i64)
         self.att = np.zeros(self.BN, dtype=i64)
-        self.next_k = np.zeros(self.BN, dtype=i64)
-        self.target = np.full(self.BN, GAP_SENTINEL, dtype=i64)
-        # Packet pools.  Global packet id = sim * stride + local id, so
-        # each simulation's local ids count 0, 1, 2, ... exactly like
-        # the reference packet factory; ``prepare`` sizes the stride.
-        self.pk_dest = np.zeros(1, dtype=i64)
-        self.pk_created = np.zeros(1, dtype=i64)
-        self.pk_injected = np.zeros(1, dtype=i64)
+        self.target = np.full(self.BN, _NO_ARRIVAL, dtype=i64)
+        # Arrival tables: one ring of ``_RING`` entries per source, at
+        # ``_arr_base[p]``, holding its decoded, not yet generated
+        # arrivals (attempt number, destination, offset) from
+        # ``_arr_next[p]`` on and the ``_NO_ARRIVAL`` entry that ends them
+        # at ``_arr_end[p]`` (ring positions).  ``_refill`` appends the
+        # next window every ``WINDOW`` cycles.
+        self._decoder = ArrivalDecoder(configs)
+        self._arr_att = np.full(self.BN * _RING, _NO_ARRIVAL, dtype=i64)
+        self._dests = np.zeros(self.BN * _RING, np.min_scalar_type(N))
+        self._offsets = np.zeros(
+            self.BN * _RING, np.min_scalar_type(CYCLE_CLOCKS)
+        )
+        self._arr_base = np.arange(self.BN, dtype=i64) * _RING
+        self._arr_next = np.zeros(self.BN, dtype=i64)
+        self._arr_end = np.zeros(self.BN, dtype=i64)
+        self._window_end = 0
+        # Packet slots: one simulation never holds more live packets
+        # than its source queues and stage buffers have room for.
+        # ``pk_id`` is a slot's packet id, counted per simulation 0, 1,
+        # 2, ... exactly like the reference packet factory; the batch
+        # shares one free-slot stack, ``_free[:_free_top]``.
+        slots = B * (N * SOURCE_QUEUE_CAPACITY + S * N * self.C)
+        self.pk_id = np.zeros(slots, dtype=i64)
+        self.pk_dest = np.zeros(slots, dtype=i64)
+        self.pk_created = np.zeros(slots, dtype=i64)
+        self.pk_injected = np.zeros(slots, dtype=i64)
+        self._free = np.arange(slots - 1, -1, -1, dtype=i64)
+        self._free_top = slots
         self.next_idv = np.zeros(B, dtype=i64)
-        self._stride = 0
-        self._plan_attempts = -1
-        self._arr_att: Any = None
-        self._dests: Any = None
-        self._offsets: Any = None
-        self._first: Any = None
 
         self.cycle = 0
         self.measure_start_clock: int | None = None
@@ -334,9 +364,8 @@ class NumpyKernel(SimKernel):
         else:
             self._smart_stacked_bool = None
             self._smart_stacked_16 = None
-        # Flat views of the fixed-size state arrays (the packet pools
-        # are the only arrays ever reallocated), so the per-cycle hot
-        # paths never re-derive them.
+        # Flat views of the state arrays, so the per-cycle hot paths
+        # never re-derive them.
         self._occ_flat = self.occb.reshape(-1)
         self._stale_flat = self.stale.reshape(-1)
         self._prio_flat = self.prio.reshape(-1)
@@ -442,70 +471,35 @@ class NumpyKernel(SimKernel):
         return self.metersL[0]
 
     def prepare(self, total_cycles: int) -> None:
-        if self._plan_attempts >= total_cycles:
-            return
-        # The tables hold each source's arrivals and the sentinel that
-        # ends them, source after source without padding (sources run at
-        # different loads); source ``p``'s entries start at ``_first[p]``.
-        atts, dests, offsets, counts = [], [], [], []
-        for cfg in self.configs:
-            plan = decode_arrivals(cfg, total_cycles)
-            # Attempt number (1-based, cumulative) of each arrival; the
-            # sentinel stays unreachably large.
-            padded = plan.gaps >= GAP_SENTINEL
-            att = np.cumsum(np.where(padded, 0, plan.gaps) + 1, axis=1)
-            att[padded] = GAP_SENTINEL
-            keep = np.arange(att.shape[1]) <= plan.counts[:, None]
-            atts.append(att[keep])
-            dests.append(plan.dests[keep])
-            offsets.append(plan.offsets[keep])
-            counts.append(plan.counts)
-        sizes = np.concatenate(counts) + 1
-        self._first = np.cumsum(sizes) - sizes
-        self._plan_attempts = total_cycles
-        self._arr_att = np.concatenate(atts)
-        self._dests = np.concatenate(dests)
-        self._offsets = np.concatenate(offsets)
-        # Re-deriving the plan over a longer horizon reproduces the old
-        # prefix exactly, so live cursors (att, next_k) stay valid; only
-        # the per-source targets must be re-read from the new table.
-        self.target = self._arr_att[self._first + self.next_k]
-        stride = int((sizes - 1).reshape(self.B, self.N).sum(axis=1).max()) + 1
-        self._grow_pools(stride)
+        # Arrivals are decoded one window at a time (``step`` decodes
+        # the later ones), so the run's length sizes nothing.
+        if self.cycle >= self._window_end:
+            self._refill()
 
-    def _grow_pools(self, stride: int) -> None:
-        """Resize the packet pools to ``B * stride``, preserving ids.
-
-        Growing the stride moves every simulation's id block, so all
-        stored global ids (queue rings, source rings) are remapped in
-        place: ``id += (id // old_stride) * (stride - old_stride)``.
-        Local ids and the per-sim counters are stride-independent.
-        """
-        old = self._stride
-        if stride <= old:
-            return
-        if old and self.B > 1:
-            diff = stride - old
-            for array in (self.ring, self.sring):
-                array += (array // old) * diff
-        for attr in ("pk_dest", "pk_created", "pk_injected"):
-            pool = getattr(self, attr)
-            grown = np.zeros(self.B * stride, dtype=np.int64)
-            if old:
-                for b in range(self.B):
-                    grown[b * stride : b * stride + old] = pool[
-                        b * old : (b + 1) * old
-                    ]
-            setattr(self, attr, grown)
-        self._stride = stride
+    def _refill(self) -> None:
+        """Append the next window of arrivals to the sources' rings."""
+        sources, attempts, dests, offsets = decode_arrivals(
+            self._decoder, self.att
+        )
+        added = np.bincount(sources, minlength=self.BN)
+        within = np.arange(sources.size) - (np.cumsum(added) - added)[sources]
+        base = self._arr_base
+        entries = base[sources] + (self._arr_end[sources] + within) % _RING
+        self._arr_att[entries] = attempts
+        self._dests[entries] = dests
+        self._offsets[entries] = offsets
+        self._arr_end = (self._arr_end + added) % _RING
+        self._arr_att[base + self._arr_end] = _NO_ARRIVAL
+        self.target[:] = self._arr_att[base + self._arr_next]
+        self._window_end = self.cycle + WINDOW
 
     def begin_measurement(self) -> None:
         if self.measure_start_clock is None:
             self.measure_start_clock = self.cycle * self.clk
 
     def step(self) -> None:
-        if self._plan_attempts <= self.cycle:
-            self.prepare(max(64, 2 * (self.cycle + 1)))
+        if self.cycle >= self._window_end:
+            self._refill()
         if self.stage_slots.any():
             self._run_stages()
         self._inject()
@@ -744,7 +738,7 @@ class NumpyKernel(SimKernel):
         return ql4, key
 
     def _pop(self, bflat: Any, Sg: Any, Og: Any) -> Any:
-        """Pop the granted head packets; returns their global ids.
+        """Pop the granted head packets; returns their slots.
 
         ``bflat`` holds flat ``(vstage, switch, input)`` buffer
         addresses.  Granted 4-tuples are unique per cycle, so every
@@ -1001,6 +995,7 @@ class NumpyKernel(SimKernel):
                         Sg[~room] % B,
                         self.pk_created[dropped] >= ms,
                     )
+                self._free_slots(dropped)
                 ids = ids[room]
                 s2 = s2[room]
                 oflat = oflat[room]
@@ -1134,23 +1129,48 @@ class NumpyKernel(SimKernel):
         if misrouted.any():
             self.sink_mis[gports[misrouted]] += 1
         ms = self.measure_start_clock
-        if ms is None:
-            return
-        created = self.pk_created[ids]
-        selected = created >= ms
-        delivered_at = (self.cycle + 1) * self.clk
-        injected = self.pk_injected[ids]
-        # Defer the Welford replay: samples are already in reference
-        # order (cycle-major, then the sort above), so per-sim streams
-        # concatenate across cycles and :meth:`_flush_meters` can fold
-        # them with one accumulator pass per simulation.
-        self._pend.append(
-            (
-                None if self.B == 1 else sims[selected],
-                delivered_at - created[selected],
-                delivered_at - injected[selected],
+        if ms is not None:
+            created = self.pk_created[ids]
+            selected = created >= ms
+            delivered_at = (self.cycle + 1) * self.clk
+            injected = self.pk_injected[ids]
+            # Defer the Welford replay: samples are already in reference
+            # order (cycle-major, then the sort above), so per-sim
+            # streams concatenate across cycles and :meth:`_flush_meters`
+            # can fold them with one accumulator pass per simulation.
+            self._pend.append(
+                (
+                    None if self.B == 1 else sims[selected],
+                    delivered_at - created[selected],
+                    delivered_at - injected[selected],
+                )
             )
-        )
+        self._free_slots(ids)
+
+    # ------------------------------------------------------------------
+    # Packet slots
+    # ------------------------------------------------------------------
+
+    def _take_slots(self, ports: Any) -> Any:
+        """Pop one free slot per source in ``ports``: a view of the
+        stack, so read it before the next push."""
+        top = self._free_top
+        count = ports.size
+        if count > top:
+            sim = int(ports[top]) // self.N
+            raise InvariantError(
+                f"packet-slot pool exhausted: simulation {sim} of the batch "
+                f"({config_label(self.configs[sim])}) generated a packet "
+                "with no free slot left"
+            )
+        self._free_top = top - count
+        return self._free[top - count : top]
+
+    def _free_slots(self, slots: Any) -> None:
+        """Push delivered or discarded packets' slots back on the stack."""
+        top = self._free_top
+        self._free[top : top + slots.size] = slots
+        self._free_top = top + slots.size
 
     # ------------------------------------------------------------------
     # Sources: generation countdown + head injection
@@ -1172,10 +1192,12 @@ class NumpyKernel(SimKernel):
         hit = self.att == self.target
         ports = hit.nonzero()[0]
         if ports.size:
-            k = self._first[ports] + self.next_k[ports]
+            ring = self._arr_base[ports]
+            k = ring + self._arr_next[ports]
             destinations = self._dests[k]
-            offsets = self._offsets[k]
+            offsets = self._offsets[k].astype(np.int64)
             count = int(ports.size)
+            slots = self._take_slots(ports)
             if B == 1:
                 sims_p = None
                 base = self.next_idv[0]
@@ -1188,19 +1210,19 @@ class NumpyKernel(SimKernel):
                 per_sim = np.bincount(sims_p, minlength=B)
                 first = np.cumsum(per_sim) - per_sim
                 within = np.arange(count, dtype=np.int64) - first[sims_p]
-                ids = (
-                    sims_p * self._stride + self.next_idv[sims_p] + within
-                )
+                ids = self.next_idv[sims_p] + within
                 self.next_idv += per_sim
             created = self.cycle * self.clk + offsets
-            self.pk_dest[ids] = destinations
-            self.pk_created[ids] = created
+            self.pk_id[slots] = ids
+            self.pk_dest[slots] = destinations
+            self.pk_created[slots] = created
             self.src_gen[ports] += 1
             tail = (self.shead[ports] + slen[ports]) % self.K2
-            self.sring[ports, tail] = ids
+            self.sring[ports, tail] = slots
             slen[ports] += 1
-            self.next_k[ports] += 1
-            self.target[ports] = self._arr_att[k + 1]
+            following = (k + 1 - ring) % _RING
+            self._arr_next[ports] = following
+            self.target[ports] = self._arr_att[ring + following]
             if ms is not None:
                 self._tally("generated", sims_p, created >= ms)
         # Phase 2 — head injection into stage 0 (entry points are a
@@ -1260,16 +1282,16 @@ class NumpyKernel(SimKernel):
     # byte for byte)
     # ------------------------------------------------------------------
 
-    def _packed_entry(self, packet_id: int, base: int) -> list[Any]:
+    def _packed_entry(self, slot: int) -> list[Any]:
         return [
-            packet_id - base,
-            int(self.pk_dest[packet_id]),
-            int(self.pk_created[packet_id]),
-            int(self.pk_injected[packet_id]),
+            int(self.pk_id[slot]),
+            int(self.pk_dest[slot]),
+            int(self.pk_created[slot]),
+            int(self.pk_injected[slot]),
         ]
 
     def _queue(self, u: int, w: int, i: int, o: int) -> list[tuple[int, int]]:
-        """``(arrival cycle, packet id)`` per packet of one queue."""
+        """``(arrival cycle, packet slot)`` per packet of one queue."""
         head = int(self.qhead[u, w, i, o])
         cq = int(self._cq_b[u % self.B])
         slots = [(head + k) % cq for k in range(int(self.qlen[u, w, i, o]))]
@@ -1278,7 +1300,7 @@ class NumpyKernel(SimKernel):
             for s in slots
         ]
 
-    def _packed_switch(self, u: int, w: int, base: int) -> dict[str, Any]:
+    def _packed_switch(self, u: int, w: int) -> dict[str, Any]:
         R = self.R
         fifo = self.kinds[u % self.B] == "FIFO"
         lengths = []
@@ -1302,7 +1324,7 @@ class NumpyKernel(SimKernel):
                 lengths.append(self.qlen[u, w, i].tolist())
                 packets = [[p for _, p in ring] for ring in rings]
             queues.append(
-                [[self._packed_entry(p, base) for p in q] for q in packets]
+                [[self._packed_entry(p) for p in q] for q in packets]
             )
         return {
             "occupancy": int(self.occb[u, w].sum()),
@@ -1321,21 +1343,14 @@ class NumpyKernel(SimKernel):
         """The packed state of one simulation of the batch."""
         self._flush_meters()
         B = self.B
-        base = sim * self._stride
         sources = []
         for local_port in range(self.N):
             port = sim * self.N + local_port
             head = int(self.shead[port])
             queue = []
             for k in range(int(self.slen[port])):
-                packet_id = int(self.sring[port, (head + k) % self.K2])
-                queue.append(
-                    [
-                        packet_id - base,
-                        int(self.pk_dest[packet_id]),
-                        int(self.pk_created[packet_id]),
-                    ]
-                )
+                slot = int(self.sring[port, (head + k) % self.K2])
+                queue.append(self._packed_entry(slot)[:3])
             sources.append(
                 {
                     "generated": int(self.src_gen[port]),
@@ -1352,7 +1367,7 @@ class NumpyKernel(SimKernel):
             "factory_next": int(self.next_idv[sim]),
             "switches": [
                 [
-                    self._packed_switch(s * B + sim, w, base)
+                    self._packed_switch(s * B + sim, w)
                     for w in range(self.W)
                 ]
                 for s in range(self.S)

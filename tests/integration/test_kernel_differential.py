@@ -189,3 +189,12 @@ class TestCliSmoke:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("equivalent over 120 cycles") == len(CI_GRID)
+
+    def test_every_ci_grid_row_has_its_own_label(self):
+        from repro.kernel.__main__ import CI_GRID, ci_configs
+
+        labels = [
+            DiffReport(config, cycles_compared=0).describe()
+            for config in ci_configs(1988)
+        ]
+        assert len(set(labels)) == len(CI_GRID)

@@ -162,9 +162,13 @@ def test_fifo_reads_the_oldest_arrival_not_the_lowest_id():
     last = kernel.S - 1
     older, newer = 5, 3
     for packet, output, arrived in ((older, 2, 0), (newer, 1, 1)):
+        # Take a slot off the free-slot stack for the planted packet.
+        kernel._free_top -= 1
+        slot = kernel._free[kernel._free_top]
+        kernel.pk_id[slot] = packet
         # Switch 0's output ``o`` of the last stage feeds sink ``o``.
-        kernel.pk_dest[packet] = output
-        kernel.ring[last, 0, 0, output, 0] = packet
+        kernel.pk_dest[slot] = output
+        kernel.ring[last, 0, 0, output, 0] = slot
         kernel.arrived[last, 0, 0, output, 0] = arrived
         kernel.qlen[last, 0, 0, output] = 1
     kernel.occb[last, 0, 0] = 2

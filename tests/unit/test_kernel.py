@@ -247,3 +247,61 @@ class TestDecodeRuleProbe:
         assert list(context.fallbacks) == [reason]
         direct = simulate(config, 20, 60, backend="reference")
         assert result.to_state() == direct.to_state()
+
+
+class TestMemoryBound:
+    """The numpy kernel's memory follows the live network, not the run:
+    arrivals are decoded one window at a time and packets live in a
+    fixed pool of recycled slots."""
+
+    @staticmethod
+    def batch():
+        from repro.kernel.numpy_kernel import NumpyKernel
+
+        return NumpyKernel.batch(
+            [
+                NetworkConfig(
+                    buffer_kind="DAMQ",
+                    protocol=Protocol.BLOCKING,
+                    offered_load=0.9,
+                    **QUICK,
+                ),
+                NetworkConfig(
+                    buffer_kind="SAFC",
+                    protocol=Protocol.DISCARDING,
+                    traffic_kind="hotspot",
+                    offered_load=1.0,
+                    **QUICK,
+                ),
+            ]
+        )
+
+    @staticmethod
+    def array_bytes(kernel):
+        import numpy as np
+
+        return sum(
+            value.nbytes
+            for owner in (kernel, kernel._decoder)
+            for value in vars(owner).values()
+            if isinstance(value, np.ndarray)
+        )
+
+    def test_a_longer_run_holds_no_more_array_memory(self):
+        short, long = self.batch(), self.batch()
+        short.run_batch(100, 1000)
+        long.run_batch(1000, 11000)
+        assert long.cycle == 12000
+        assert self.array_bytes(long) == self.array_bytes(short)
+
+    def test_an_empty_free_slot_stack_raises_naming_the_simulation(self):
+        from repro.errors import InvariantError
+
+        kernel = self.batch()
+        kernel.prepare(100)
+        kernel._free_top = 0
+        with pytest.raises(
+            InvariantError, match=r"simulation 0 .*DAMQ/blocking/smart"
+        ):
+            for _ in range(100):
+                kernel.step()
